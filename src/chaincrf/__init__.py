@@ -28,8 +28,10 @@ from .inference import (
     decode_softmax,
     log_partition,
     nll_and_grad,
+    nll_and_grad_batch,
     pairwise_marginals,
     viterbi,
+    viterbi_batch,
 )
 from .linalg import init_matrix, log_sum_exp, make_rng, matvec
 from .oracle import (
@@ -91,6 +93,7 @@ __all__ = [
     "matvec",
     "mean_and_std",
     "nll_and_grad",
+    "nll_and_grad_batch",
     "pairwise_marginals",
     "read_conll",
     "reconstruct_dense_trilinear",
@@ -104,6 +107,7 @@ __all__ = [
     "token_accuracy",
     "train",
     "viterbi",
+    "viterbi_batch",
     "write_conll",
     "write_embeddings",
 ]

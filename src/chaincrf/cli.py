@@ -1,15 +1,17 @@
 """Command-line interface: train / tag / eval / gradcheck / bench.
 
-Configuration is a plain key=value text file ('#' starts a comment);
-command-line flags override file values.  Exit codes: 0 success, 2
-missing or invalid configuration, 3 corpus alignment failure in eval,
-4 gradcheck tolerance exceeded, 1 anything else.
+Configuration is a plain key=value text file ('#' at the start of a
+line or after whitespace starts a comment); command-line flags override
+file values.  Exit codes: 0 success, 2 missing or invalid configuration,
+3 corpus alignment failure in eval, 4 gradcheck tolerance exceeded, 1
+anything else, such as invalid input data.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -27,7 +29,13 @@ from .dataio import (
     write_conll,
 )
 from .evaluation import span_f1, summary_line
-from .inference import log_partition, nll_and_grad, pairwise_marginals, viterbi
+from .inference import (
+    log_partition,
+    nll_and_grad,
+    nll_and_grad_batch,
+    pairwise_marginals,
+    viterbi,
+)
 from .linalg import make_rng
 from .oracle import (
     brute_force_best_path,
@@ -57,6 +65,11 @@ _FLOAT_KEYS = ("learning_rate", "l2", "subsample_fraction", "lr_decay",
 CONFIG_KEYS = frozenset(_PATH_KEYS + _STR_KEYS + _INT_KEYS + _FLOAT_KEYS)
 
 
+# '#' starts a comment only at the start of a line or after whitespace,
+# so a value such as a path may contain it
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -65,7 +78,7 @@ def parse_config(text: str) -> dict:
     """Parse key=value configuration text; unknown keys are an error."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -278,10 +291,11 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
               batch=32, reps=10, seed=0, warmup=2):
     """Mean wall time of one training step and of one per-sequence decode.
 
-    A training step scores a batch, computes sequence NLL gradients,
-    pulls them back onto the parameters and applies an SGD update.
-    Decoding scores the batch and runs viterbi on each lattice; its time
-    is reported per sequence.
+    Both run the path `train` and `tag` run.  A training step scores a
+    batch, computes its NLL gradients with `nll_and_grad_batch`, pulls
+    them back onto the parameters and applies an SGD update.  Decoding
+    scores the batch and decodes it with `decode_paths`; its time is
+    reported per sequence.
     """
     family = Family.from_name(family) if isinstance(family, str) else family
     params = init_params(family, num_labels, d_h, seed=seed, d_t=d_t, d_r=d_r)
@@ -298,16 +312,14 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
 
     def one_step():
         lattices = score_lattices(params, reps_list)
-        results = [nll_and_grad(lat, g) for lat, g in zip(lattices, golds)]
+        results = nll_and_grad_batch(lattices, golds)
         grad = backprop_lattices(params, reps_list, [r[1] for r in results])
         grad.scale(1.0 / batch)
         for name, arr in params.param_items():
             arr -= 0.1 * (grad.arrays[name] + 1e-8 * arr)
 
     def one_decode_pass():
-        lattices = score_lattices(params, reps_list)
-        for lat in lattices:
-            viterbi(lat)
+        decode_paths(params, score_lattices(params, reps_list))
 
     for _ in range(warmup):
         one_step()

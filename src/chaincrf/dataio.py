@@ -324,7 +324,15 @@ def load_embeddings(source, expected_dim=None) -> EmbeddingTable:
                 "embedding header declares dimension %d, vectors have %d"
                 % (declared[1], dim)
             )
-    unk = np.mean(np.stack(list(vectors.values())), axis=0)
+    stacked = np.stack(list(vectors.values()))
+    finite = np.isfinite(stacked).all(axis=1)
+    if not finite.all():
+        # a nan/inf would poison the mean unknown vector; report the line
+        # whose vector the table kept (the last one for a repeated token)
+        token = list(vectors)[int(np.argmin(finite))]
+        lineno = max(k for k in range(start, len(lines)) if lines[k].split()[:1] == [token])
+        raise ValueError("line %d: non-finite embedding value" % (lineno + 1))
+    unk = np.mean(stacked, axis=0)
     return EmbeddingTable(dim=int(dim), vectors=vectors, unk=unk)
 
 

@@ -144,3 +144,140 @@ def decode_softmax(lat) -> DecodeResult:
     lat = _check_lattice(lat)
     labels = [int(k) for k in np.argmax(lat[:, 0, :], axis=1)]
     return DecodeResult(labels=labels, score=path_score(lat, labels))
+
+
+# ---------------------------------------------------------------------------
+# batched forms
+# ---------------------------------------------------------------------------
+
+# Cells (sequences x positions x L x L) of one chunk's zero-padded lattice
+# buffer: 2**21 float64 cells are 16 MB.  The bound keeps a whole-file
+# batch from holding a second full copy of its lattices.
+CHUNK_CELLS = 1 << 21
+
+
+def _check_batch(lattices) -> list:
+    lats = [_check_lattice(lat) for lat in lattices]
+    for lat in lats[1:]:
+        if lat.shape[1] != lats[0].shape[1]:
+            raise ValueError("lattices in one batch must share L, got %d and %d"
+                             % (lats[0].shape[1], lat.shape[1]))
+    return lats
+
+
+def _chunks(lats):
+    """Length-sorted, zero-padded chunks of a batch.
+
+    Yields (idx, buf, lengths, active): indices into `lats`, longest
+    sequence first (stable); their (B, M_max, L, L) buffer of at most
+    CHUNK_CELLS cells (a sequence larger than that is a chunk of its own);
+    their lengths; and active[m], the number of them longer than m.
+    """
+    order = sorted(range(len(lats)), key=lambda i: -lats[i].shape[0])
+    lo = 0
+    while lo < len(order):
+        M, L, _ = lats[order[lo]].shape
+        idx = order[lo: lo + max(1, CHUNK_CELLS // (M * L * L))]
+        lo += len(idx)
+        lengths = np.array([lats[i].shape[0] for i in idx])
+        buf = np.zeros((len(idx), M, L, L))
+        for k, i in enumerate(idx):
+            buf[k, :lengths[k]] = lats[i]
+        active = (lengths[:, None] > np.arange(M)).sum(axis=0)
+        yield idx, buf, lengths, active
+
+
+def viterbi_batch(lattices) -> list:
+    """`viterbi` of every lattice in a batch, bit-identical to it.
+
+    Lattices may differ in length but must share L.  The recursion runs
+    time-major over length-sorted, zero-padded chunks; at step m only the
+    sequences longer than m take part, so padding never enters the
+    arithmetic.
+    """
+    lats = _check_batch(lattices)
+    out = [None] * len(lats)
+    for idx, lat, lengths, active in _chunks(lats):
+        B, T, L, _ = lat.shape
+        best = lat[:, 0, 0].copy()
+        back = np.zeros((B, T, L), dtype=np.int64)
+        for m in range(1, T):
+            n = active[m]
+            cand = best[:n, :, None] + lat[:n, m]
+            back[:n, m] = np.argmax(cand, axis=1)
+            best[:n] = np.take_along_axis(cand, back[:n, m][:, None, :], axis=1)[:, 0]
+        rows = np.arange(B)
+        last = np.argmax(best, axis=1)
+        labels = np.zeros((B, T), dtype=np.int64)
+        labels[rows, lengths - 1] = last
+        for m in range(T - 1, 0, -1):
+            n = active[m]
+            labels[:n, m - 1] = back[rows[:n], m, labels[:n, m]]
+        score = best[rows, last]
+        for k, i in enumerate(idx):
+            out[i] = DecodeResult(labels=labels[k, :lengths[k]].tolist(),
+                                  score=float(score[k]))
+    return out
+
+
+def nll_and_grad_batch(lattices, golds) -> list:
+    """`nll_and_grad` of every (lattice, gold) pair, bit-identical to it.
+
+    Returns a list of (loss, gradient) in batch order; each gradient is
+    a view into its chunk's buffer.  Lattices may differ in length but
+    must share L; inputs are validated as `nll_and_grad` validates them.
+    The forward, backward and marginal recursions run time-major over
+    length-sorted, zero-padded chunks, as in `viterbi_batch`.
+    """
+    lats = _check_batch(lattices)
+    golds = [list(g) for g in golds]
+    if len(golds) != len(lats):
+        raise ValueError("got %d lattices but %d gold paths" % (len(lats), len(golds)))
+    for lat, gold in zip(lats, golds):
+        M, L, _ = lat.shape
+        if len(gold) != M:
+            raise ValueError("gold path length %d does not match lattice length %d"
+                             % (len(gold), M))
+        for y in gold:
+            if not 0 <= y < L:
+                raise ValueError("invalid label index %r for %d labels" % (y, L))
+    out = [None] * len(lats)
+    for idx, lat, lengths, active in _chunks(lats):
+        B, T, L, _ = lat.shape
+        rows = np.arange(B)
+        alpha = np.empty((B, T, L))
+        alpha[:, 0] = lat[:, 0, 0]
+        for m in range(1, T):
+            n = active[m]
+            alpha[:n, m] = log_sum_exp_over_rows(alpha[:n, m - 1, :, None] + lat[:n, m], axis=1)
+        beta = np.zeros((B, T, L))
+        for m in range(T - 2, -1, -1):
+            n = active[m + 1]
+            beta[:n, m] = log_sum_exp_over_rows(lat[:n, m + 1] + beta[:n, m + 1, None, :], axis=2)
+        # log_sum_exp of each sequence's last alpha row, op for op
+        final = alpha[rows, lengths - 1]
+        top = final.max(axis=1)
+        with np.errstate(invalid="ignore"):
+            log_z = top + np.log(np.sum(np.exp(final - top[:, None]), axis=1))
+        log_z = np.where(np.isfinite(top), log_z, top)
+
+        grad = np.zeros((B, T, L, L))
+        grad[:, 0, 0] = np.exp(lat[:, 0, 0] + beta[:, 0] - log_z[:, None])
+        for m in range(1, T):
+            n = active[m]
+            grad[:n, m] = np.exp(alpha[:n, m - 1, :, None] + lat[:n, m]
+                                 + beta[:n, m, None, :] - log_z[:n, None, None])
+        # gold transitions as flat (sequence, position, previous, label) indices
+        seq, pos = np.nonzero(np.arange(T) < lengths[:, None])
+        cur = np.concatenate([golds[i] for i in idx]).astype(np.int64)
+        prev = np.concatenate([[0] + golds[i][:-1] for i in idx]).astype(np.int64)
+        gold_entries = np.zeros((B, T))
+        gold_entries[seq, pos] = lat[seq, pos, prev, cur]
+        grad[seq, pos, prev, cur] -= 1.0
+        path = gold_entries[:, 0].copy()
+        for m in range(1, T):
+            n = active[m]
+            path[:n] = path[:n] + gold_entries[:n, m]
+        for k, i in enumerate(idx):
+            out[i] = (float(log_z[k]) - float(path[k]), grad[k, :lengths[k]])
+    return out

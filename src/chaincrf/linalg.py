@@ -36,13 +36,17 @@ def log_sum_exp(values) -> float:
     return m + float(np.log(np.sum(np.exp(arr - m))))
 
 
-def log_sum_exp_over_rows(mat: np.ndarray) -> np.ndarray:
-    """Column-wise log-sum-exp of a 2-D array (reduction over axis 0)."""
-    m = mat.max(axis=0)
+def log_sum_exp_over_rows(mat: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Column-wise log-sum-exp of a 2-D array (reduction over axis 0).
+
+    With `axis`, the same reduction over that axis of an array of any
+    rank, in the same order of operations.
+    """
+    m = mat.max(axis=axis, keepdims=True)
     safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        out = safe + np.log(np.exp(mat - safe).sum(axis=0))
-    return np.where(np.isfinite(m), out, m)
+        out = safe + np.log(np.exp(mat - safe).sum(axis=axis, keepdims=True))
+    return np.where(np.isfinite(m), out, m).squeeze(axis)
 
 
 def matvec(m: Mat, v: Vec) -> Vec:

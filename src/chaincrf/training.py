@@ -22,7 +22,15 @@ from .dataio import (
     sequence_to_reps,
 )
 from .evaluation import span_f1
-from .inference import decode_softmax, nll_and_grad, viterbi
+# perfbench's tracer wraps `nll_and_grad` and `viterbi` in this module's
+# namespace, so they stay imported although nothing here calls them.
+from .inference import (  # noqa: F401
+    decode_softmax,
+    nll_and_grad,
+    nll_and_grad_batch,
+    viterbi,
+    viterbi_batch,
+)
 from .linalg import make_rng
 from .potentials import Family, backprop_lattices, init_params, score_lattices
 
@@ -121,8 +129,9 @@ def _as_provider(reps_provider):
 
 
 def decode_paths(params, lattices):
-    decode = decode_softmax if params.family is Family.SOFTMAX else viterbi
-    return [decode(lat).labels for lat in lattices]
+    if params.family is Family.SOFTMAX:
+        return [decode_softmax(lat).labels for lat in lattices]
+    return [res.labels for res in viterbi_batch(lattices)]
 
 
 def evaluate_model(params, seqs, reps_list, vocab, metric):
@@ -189,11 +198,17 @@ def train(config: TrainConfig, train_set, dev_set, reps_provider,
                     if "non-finite parameter" in str(exc):
                         raise ValueError("training diverged") from None
                     raise
-                jobs = list(zip(lattices, (gold[k] for k in batch)))
+                batch_gold = [gold[k] for k in batch]
                 if pool is not None:
-                    results = list(pool.map(lambda j: nll_and_grad(*j), jobs))
+                    # `threads` contiguous slices, joined in batch order
+                    cuts = [len(batch) * t // config.threads
+                            for t in range(config.threads + 1)]
+                    parts = pool.map(
+                        lambda lo, hi: nll_and_grad_batch(lattices[lo:hi], batch_gold[lo:hi]),
+                        cuts[:-1], cuts[1:])
+                    results = [r for part in parts for r in part]
                 else:
-                    results = [nll_and_grad(lat, g) for lat, g in jobs]
+                    results = nll_and_grad_batch(lattices, batch_gold)
                 losses = [r[0] for r in results]
                 if not np.isfinite(sum(losses)):
                     raise ValueError("training diverged")

@@ -66,6 +66,14 @@ def test_parse_config_basics():
     assert cfg == {"family": "vanilla-crf", "batch_size": 16, "l2": 1e-8}
 
 
+def test_parse_config_hash_inside_value_is_kept():
+    cfg = parse_config("train_path=/data/run#3/x\n"
+                       "scheme=bioes            # bioes (convert BIO), bio (keep)\n"
+                       "  # indented comment\n"
+                       "seed=3\t# after a tab\n")
+    assert cfg == {"train_path": "/data/run#3/x", "scheme": "bioes", "seed": 3}
+
+
 def test_parse_config_unknown_key():
     with pytest.raises(ConfigError, match="unknown key: turbo"):
         parse_config("turbo=yes\n")
@@ -182,6 +190,21 @@ def test_tag_unknown_tokens_no_crash(tmp_path, capsys):
                  "--input", str(novel), "--output", str(out)]) == 0
     assert len(read_conll(out)[0]) == 2
     capsys.readouterr()
+
+
+def test_tag_non_finite_embedding_exit_1(tmp_path, capsys):
+    paths = write_corpus(tmp_path)
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
+    assert main(["train", "--config", str(config_path)]) == 0
+    lines = paths["emb"].read_text().splitlines()
+    count, dim = (int(v) for v in lines[0].split())
+    lines = ["%d %d" % (count + 1, dim)] + lines[1:] + ["poison" + " nan" * dim]
+    poisoned = tmp_path / "poisoned.txt"
+    poisoned.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(poisoned),
+                 "--input", str(paths["test"]), "--output", str(tmp_path / "out.conll")]) == 1
+    assert "error: line %d: non-finite embedding value" % len(lines) in capsys.readouterr().err
 
 
 def test_eval_identical_files(tmp_path, capsys):

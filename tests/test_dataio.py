@@ -215,6 +215,13 @@ def test_non_numeric_field_rejected():
         load_embeddings(io.StringIO("a 1.0 x\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_rejected_with_line(value):
+    # a nan would otherwise poison the mean unknown vector
+    with pytest.raises(ValueError, match="line 3: non-finite embedding value"):
+        load_embeddings(io.StringIO("2 2\na 1.0 2.0\nb 3.0 %s\n" % value))
+
+
 def test_embeddings_round_trip():
     table = EmbeddingTable(
         dim=3,

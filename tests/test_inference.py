@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincrf import (
     brute_force_best_path,
@@ -9,10 +12,14 @@ from chaincrf import (
     brute_force_pairwise_marginals,
     decode_softmax,
     log_partition,
+    make_rng,
     nll_and_grad,
+    nll_and_grad_batch,
     pairwise_marginals,
     viterbi,
+    viterbi_batch,
 )
+from chaincrf import inference
 from chaincrf.inference import path_score
 
 from helpers import random_lattice
@@ -191,3 +198,92 @@ def test_decode_softmax_equals_viterbi_on_row_constant_lattices():
     vit = viterbi(lat)
     assert soft.labels == vit.labels
     assert soft.score == pytest.approx(vit.score, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched inference against the per-sequence reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def ragged_batches(draw):
+    """Lattices of one L (1-5) and lengths 1-12, each random, random with
+    -inf masked entries, or all zero (every path ties), plus gold paths."""
+    L = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.tuples(st.integers(1, 12),
+                                    st.sampled_from(["random", "masked", "zero"])),
+                          max_size=10))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lats = []
+    for M, kind in kinds:
+        lat = 3.0 * rng.standard_normal((M, L, L))
+        if kind == "masked":
+            lat[rng.random(lat.shape) < 0.3] = -np.inf
+        elif kind == "zero":
+            lat[:] = 0.0
+        lats.append(lat)
+    golds = [[int(y) for y in rng.integers(0, L, size=lat.shape[0])] for lat in lats]
+    return lats, golds
+
+
+def assert_batch_matches_reference(lats, golds):
+    # masked lattices can give inf/nan losses; both sides must agree on them
+    with np.errstate(all="ignore"):
+        decoded = viterbi_batch(lats)
+        nlls = nll_and_grad_batch(lats, golds)
+        assert len(decoded) == len(nlls) == len(lats)
+        for lat, gold, got, (loss, grad) in zip(lats, golds, decoded, nlls):
+            ref = viterbi(lat)
+            ref_loss, ref_grad = nll_and_grad(lat, gold)
+            assert got.labels == ref.labels
+            assert np.float64(got.score).tobytes() == np.float64(ref.score).tobytes()
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grad.shape == ref_grad.shape
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_batches())
+def test_batch_bit_identical_to_per_sequence(batch):
+    assert_batch_matches_reference(*batch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches(), st.integers(1, 200))
+def test_batch_bit_identical_across_chunks(batch, chunk_cells):
+    # a small cell budget splits the batch into many chunks
+    with mock.patch.object(inference, "CHUNK_CELLS", chunk_cells):
+        assert_batch_matches_reference(*batch)
+
+
+def test_batch_larger_than_one_chunk():
+    rng = make_rng(4)
+    L = 17
+    lats = [rng.standard_normal((int(M), L, L)) for M in rng.integers(30, 51, size=200)]
+    golds = [[int(y) for y in rng.integers(0, L, size=lat.shape[0])] for lat in lats]
+    chunks = [(idx, buf.size) for idx, buf, _, _ in inference._chunks(lats)]
+    assert len(chunks) > 1
+    assert sorted(i for idx, _ in chunks for i in idx) == list(range(len(lats)))
+    assert max(size for _, size in chunks) <= inference.CHUNK_CELLS
+    assert_batch_matches_reference(lats, golds)
+
+
+def test_batch_empty():
+    assert viterbi_batch([]) == []
+    assert nll_and_grad_batch([], []) == []
+
+
+def test_batch_rejects_bad_input():
+    with pytest.raises(ValueError, match="share L"):
+        viterbi_batch([np.zeros((2, 3, 3)), np.zeros((2, 4, 4))])
+    with pytest.raises(ValueError, match="share L"):
+        nll_and_grad_batch([np.zeros((2, 3, 3)), np.zeros((2, 4, 4))], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match=r"shape \(M, L, L\)"):
+        viterbi_batch([np.zeros((2, 3, 4))])
+    with pytest.raises(ValueError, match="length 1 does not match lattice length 2"):
+        nll_and_grad_batch([np.zeros((2, 3, 3))], [[0]])
+    with pytest.raises(ValueError, match="invalid label index 3 for 3 labels"):
+        nll_and_grad_batch([np.zeros((1, 3, 3)), np.zeros((2, 3, 3))], [[0], [0, 3]])
+    with pytest.raises(ValueError, match="invalid label index -1"):
+        nll_and_grad_batch([np.zeros((2, 3, 3))], [[-1, 0]])
+    with pytest.raises(ValueError, match="2 lattices but 1 gold"):
+        nll_and_grad_batch([np.zeros((2, 3, 3))] * 2, [[0, 0]])
