@@ -55,7 +55,7 @@ from .potentials import (
     score_lattice,
     score_lattices,
 )
-from .training import TrainConfig, TrainReport, subsample, train
+from .training import TrainConfig, TrainingDiverged, TrainReport, subsample, train
 
 __version__ = "0.1.0"
 
@@ -72,6 +72,7 @@ __all__ = [
     "SyntheticSpec",
     "TokenSequence",
     "TrainConfig",
+    "TrainingDiverged",
     "TrainReport",
     "backprop_lattice",
     "backprop_lattices",

@@ -340,8 +340,9 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
 
 
 def cmd_bench(args) -> int:
+    names = [f.value for f in Family] if args.family == "all" else args.family.split(",")
     rows = []
-    for name in args.family.split(","):
+    for name in names:
         rows.append(run_bench(
             name.strip(), num_labels=args.labels, d_h=args.d_h, d_t=args.d_t,
             d_r=args.d_r, length=args.length, batch=args.batch,
@@ -406,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="time training steps and decoding")
-    p.add_argument("--family", default="vanilla-crf,d-trilinear,d-quadrilinear")
+    p.add_argument("--family", default="vanilla-crf,d-trilinear,d-quadrilinear",
+                   help="comma-separated family names, or all")
     p.add_argument("--labels", type=int, default=17)
     p.add_argument("--d-h", dest="d_h", type=int, default=100)
     p.add_argument("--d-t", dest="d_t", type=int, default=100)

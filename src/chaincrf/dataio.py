@@ -369,6 +369,9 @@ def save_model(params: ModelParams, vocab: LabelVocab, target):
     """Versioned plain-text model file; floats use repr so that
     load(save(x)) reproduces x bit-exactly."""
     params.validate()
+    if vocab.size != params.num_labels:
+        raise ValueError("vocabulary has %d labels but the model has %d"
+                         % (vocab.size, params.num_labels))
 
     def emit(fh):
         fh.write("%s %d\n" % (FORMAT_MAGIC, FORMAT_VERSION))
@@ -436,7 +439,13 @@ def load_model(source):
     mlp_hidden = int(rd.expect_kv("mlp_hidden"))
     scheme = rd.expect_kv("scheme")
     n_labels = int(rd.expect_kv("labels"))
+    if n_labels != num_labels:
+        raise ValueError("model file lists %d labels but num_labels is %d"
+                         % (n_labels, num_labels))
     labels = [rd.next() for _ in range(n_labels)]
+    if len(set(labels)) != len(labels):
+        dup = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
+        raise ValueError("duplicate label in model file: %s" % dup)
     expected = field_shapes(family, num_labels, d_h, d_t, d_r, mlp_hidden)
     kw = {}
     while True:
@@ -444,7 +453,7 @@ def load_model(source):
         if line == "end":
             break
         parts = line.split()
-        if not parts or parts[0] != "param":
+        if len(parts) < 2 or parts[0] != "param":
             raise ValueError("malformed model file at line %d" % rd.pos)
         name = parts[1]
         shape = tuple(int(d) for d in parts[2:])

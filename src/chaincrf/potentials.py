@@ -18,6 +18,17 @@ treat an out-of-range neighbor as a ones factor, so the boundary
 positions degrade to the next-lower-order potential instead of vanishing.
 The concat-MLP families instead concatenate the all-zero boundary vector
 carried by the representation sequence.
+
+Batches.  The trilinear, decomposed and concat-MLP families
+(`STACKED_FAMILIES`) score and pull back a whole batch in one pass: the
+sequences are stacked along the position axis, neighbor words are shifted
+within each sequence only, and each sequence's first position gets its
+BOS-conditioned row separately.  The concat-MLP pre-activation splits into
+a word part (one GEMM over the stacked tokens) and a label part (computed
+once per call); the (positions, L, L, hidden) tanh activations are formed
+in blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole batch,
+and the pullback recomputes them block by block.  The other families score
+one sequence at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +69,19 @@ CRF_FAMILIES = tuple(f for f in Family if f is not Family.SOFTMAX)
 EMBEDDING_FAMILIES = frozenset(
     f for f in Family if f not in (Family.SOFTMAX, Family.VANILLA_CRF)
 )
+
+MLP_FAMILIES = frozenset((Family.CONCAT_MLP_1W2L, Family.CONCAT_MLP_2W2L))
+
+# Families scored and pulled back once per batch, with the sequences
+# stacked along the position axis.
+STACKED_FAMILIES = MLP_FAMILIES | {
+    Family.TRILINEAR, Family.D_TRILINEAR, Family.D_QUADRILINEAR, Family.D_PENTALINEAR,
+}
+
+# Upper bound on the (positions, labels, hidden) activation block of the
+# concat-MLP families: 2^18 float64 cells (2 MB) stay in cache, and the
+# activations of a whole batch are never held at once.
+MLP_BLOCK_CELLS = 1 << 18
 
 # Canonical parameter order, also the serialization and update order.
 PARAM_FIELDS = (
@@ -145,7 +169,7 @@ def field_shapes(family, num_labels, d_h, d_t=0, d_r=0, mlp_hidden=0):
         shapes["u_h1"] = (d_h, d_r)
         shapes["u_h2"] = (d_h, d_r)
         shapes["u_h3"] = (d_h, d_r)
-    elif family in (Family.CONCAT_MLP_1W2L, Family.CONCAT_MLP_2W2L):
+    elif family in MLP_FAMILIES:
         words = 1 if family is Family.CONCAT_MLP_1W2L else 2
         d_in = words * d_h + 2 * d_t
         shapes["label_embeddings"] = (L + 1, d_t)
@@ -280,7 +304,7 @@ def init_params(family, num_labels, d_h, seed, d_t=0, d_r=0, mlp_hidden=128) -> 
     if family in (Family.SOFTMAX, Family.VANILLA_CRF):
         d_t = 0
         d_r = 0
-    if family not in (Family.CONCAT_MLP_1W2L, Family.CONCAT_MLP_2W2L):
+    if family not in MLP_FAMILIES:
         mlp_hidden = 0
     shapes = field_shapes(family, num_labels, d_h, d_t, d_r, mlp_hidden)
     factors = _FACTOR_COUNT.get(family)
@@ -340,10 +364,14 @@ def _precompute(params: ModelParams) -> dict:
     if f in (Family.TWO_BILINEAR, Family.THREE_BILINEAR):
         pre["trans_ext"] = pre["T_ext"] @ params.w_t @ pre["T_cur"].T
     elif f is Family.TRILINEAR:
-        # Fold label embeddings into the tensor: B[p, a*L+b].
-        tmp = np.tensordot(pre["T_ext"], params.u_dense, axes=(1, 1))  # (L+1, d_h, d_t)
-        folded = np.einsum("apr,br->pab", tmp, pre["T_cur"], optimize=True)
-        pre["B"] = folded.reshape(params.d_h, -1)
+        # Fold the label embeddings into the tensor:
+        # folded[p, a, b] = T_ext[a] . u_dense[p] . T_cur[b], split like
+        # d-trilinear's A_cur/A_bos into real previous labels and BOS.
+        L = params.num_labels
+        pre["UT"] = params.u_dense @ T_cur.T        # (d_h, d_t, L)
+        folded = np.matmul(T_ext, pre["UT"])        # (d_h, L+1, L)
+        pre["A_cur"] = folded[:, :L].reshape(params.d_h, L * L)
+        pre["A_bos"] = np.ascontiguousarray(folded[:, L])
     elif f in (Family.D_TRILINEAR, Family.D_QUADRILINEAR, Family.D_PENTALINEAR):
         L = params.num_labels
         G1 = pre["T_ext"] @ params.u_t1            # previous-label factors
@@ -362,15 +390,19 @@ def _precompute(params: ModelParams) -> dict:
             pre["u_words"] = (params.u_h1, params.u_h2)
         else:
             pre["u_words"] = (params.u_h1, params.u_h2, params.u_h3)
-    elif f in (Family.CONCAT_MLP_1W2L, Family.CONCAT_MLP_2W2L):
-        d_h, d_t = params.d_h, params.d_t
+    elif f in MLP_FAMILIES:
+        L, d_t = params.num_labels, params.d_t
         w1 = params.mlp_w1
-        words = 2 if f is Family.CONCAT_MLP_2W2L else 1
-        pre["w1_words"] = w1[:, : words * d_h]
-        pre["w1_prev_label"] = w1[:, words * d_h: words * d_h + d_t]
-        pre["w1_cur_label"] = w1[:, words * d_h + d_t:]
-        pre["Za"] = pre["T_ext"] @ pre["w1_prev_label"].T   # (L+1, H)
-        pre["Zb"] = pre["T_cur"] @ pre["w1_cur_label"].T    # (L, H)
+        d_w = w1.shape[1] - 2 * d_t           # word columns: [previous word,] current word
+        pre["w1_words"] = w1[:, :d_w]
+        pre["w1_prev_label"] = w1[:, d_w: d_w + d_t]
+        pre["w1_cur_label"] = w1[:, d_w + d_t:]
+        Za = T_ext @ pre["w1_prev_label"].T   # (L+1, H)
+        Zb = T_cur @ pre["w1_cur_label"].T    # (L, H)
+        # label-side pre-activations, word-independent: real previous
+        # labels as (L*L, H) rows indexed a*L+b, and the BOS row (L, H)
+        pre["Z_cur"] = (Za[:L, None, :] + Zb[None, :, :] + params.mlp_b1).reshape(L * L, -1)
+        pre["Z_bos"] = Za[L] + Zb + params.mlp_b1
     return pre
 
 
@@ -381,6 +413,19 @@ def _stacked_spans(reps_list):
         spans.append((start, start + reps.length))
         start += reps.length
     return spans
+
+
+def _neighbor_rows(x, spans, prev):
+    """Rows of `x` shifted one position within each span: row m holds the
+    previous (or next) row of its own sequence, zeros where that neighbor
+    is out of range."""
+    out = np.zeros_like(x)
+    for s, e in spans:
+        if prev:
+            out[s + 1: e] = x[s: e - 1]
+        else:
+            out[s: e - 1] = x[s + 1: e]
+    return out
 
 
 def _stacked_word_factors(params, pre, h_all, spans):
@@ -408,23 +453,66 @@ def _stacked_word_factors(params, pre, h_all, spans):
     return G3, G4, G5
 
 
-def _mlp_hidden_units(params, pre, reps):
-    """tanh hidden activations, shape (M, L+1, L, H)."""
-    Zh = reps.h @ pre["w1_words"][:, -params.d_h:].T
-    Z = (Zh[:, None, None, :]
-         + pre["Za"][None, :, None, :]
-         + pre["Zb"][None, None, :, :]
-         + params.mlp_b1)
+def _mlp_words(params, h_all, spans):
+    """MLP word input per stacked position: [previous word,] current word;
+    the previous word of a sequence's first position is the zero vector."""
     if params.family is Family.CONCAT_MLP_2W2L:
-        h_prev = np.vstack([reps.h_pre[None, :], reps.h[:-1]])
-        Z = Z + (h_prev @ pre["w1_words"][:, : params.d_h].T)[:, None, None, :]
-    return np.tanh(Z)
+        return np.hstack([_neighbor_rows(h_all, spans, prev=True), h_all])
+    return h_all
+
+
+def _mlp_blocks(rows, cells_per_row):
+    """Row slices whose (rows, cells_per_row) buffer fits MLP_BLOCK_CELLS."""
+    k = max(1, MLP_BLOCK_CELLS // cells_per_row)
+    return [slice(lo, min(lo + k, rows)) for lo in range(0, rows, k)]
+
+
+def _mlp_scores(Zw, Zl, w2, out):
+    """out[m, r] = tanh(Zw[m] + Zl[r]) . w2 for word pre-activations Zw
+    (n, H) and label pre-activations Zl (R, H); `out` is a contiguous
+    (n, R) array.  The activations never exist beyond one block."""
+    R, H = Zl.shape
+    blocks = _mlp_blocks(len(Zw), R * H)
+    buf = np.empty((blocks[0].stop, R, H))
+    for blk in blocks:
+        u = buf[: blk.stop - blk.start]
+        np.add(Zw[blk, None, :], Zl[None], out=u)
+        np.tanh(u, out=u)
+        np.matmul(u.reshape(-1, H), w2, out=out[blk].reshape(-1))
+    return out
+
+
+def _mlp_pullback(Zw, Zl, w2, grad):
+    """Pullback of `_mlp_scores` for a lattice gradient grad (n, R).
+
+    Recomputes the activations block by block and returns
+    (d w2, S_w, S_l): S_w (n, H) and S_l (R, H) are the pre-activation
+    gradients summed over the label rows and over the positions, still
+    without their common factor w2, which the caller applies once.
+    """
+    R, H = Zl.shape
+    blocks = _mlp_blocks(len(Zw), R * H)
+    buf = np.empty((blocks[0].stop, R, H))
+    g_w2 = np.zeros(H)
+    S_w = np.empty((len(Zw), H))
+    S_l = np.zeros((R, H))
+    for blk in blocks:
+        u = buf[: blk.stop - blk.start]
+        g = grad[blk]
+        np.add(Zw[blk, None, :], Zl[None], out=u)
+        np.tanh(u, out=u)
+        g_w2 += g.reshape(-1) @ u.reshape(-1, H)
+        np.square(u, out=u)
+        np.subtract(1.0, u, out=u)          # u now holds tanh' = 1 - tanh^2
+        # S_w[m] = g[m] . u[m] and S_l[r] += g[:, r] . u[:, r], as batched GEMVs
+        np.matmul(g[:, None, :], u, out=S_w[blk, None, :])
+        S_l += np.matmul(g.T[:, None, :], u.transpose(1, 0, 2))[:, 0]
+    return g_w2, S_w, S_l
 
 
 def _scores_ext(params, pre, reps) -> np.ndarray:
     """Scores as an (M, L+1, L) table; row L is the BOS previous label."""
     f = params.family
-    M, L = reps.length, params.num_labels
     H = reps.h
     if f is Family.VANILLA_CRF:
         e = H @ params.w_h
@@ -435,36 +523,38 @@ def _scores_ext(params, pre, reps) -> np.ndarray:
         if f is Family.THREE_BILINEAR:
             ext = ext + ((H @ params.w_h2) @ pre["T_ext"].T)[:, :, None]
         return ext
-    if f is Family.TRILINEAR:
-        return (H @ pre["B"]).reshape(M, L + 1, L)
-    if f in (Family.CONCAT_MLP_1W2L, Family.CONCAT_MLP_2W2L):
-        U = _mlp_hidden_units(params, pre, reps)
-        return U @ params.mlp_w2[0]
     raise AssertionError("unhandled family %r" % f)
 
 
-def _lattices_decomposed(params, pre, reps_list):
-    """Direct lattices for the decomposed families, one stacked matmul.
+def _lattices_stacked(params, pre, reps_list):
+    """Direct lattices for the stacked families.
 
     All sequences are concatenated along the position axis so the heavy
-    factor-product contraction runs as a single GEMM; each returned
-    lattice is a view into the shared buffer.  Position 0 of every
-    sequence is overwritten with its BOS-conditioned row broadcast."""
+    contraction runs once over the batch (one GEMM, or one blocked pass
+    for the MLP); each returned lattice is a view into the shared buffer.
+    Position 0 of every sequence is overwritten with its BOS-conditioned
+    row broadcast."""
     L = params.num_labels
+    f = params.family
     h_all = np.vstack([reps.h for reps in reps_list])
     spans = _stacked_spans(reps_list)
     starts = [s for s, _ in spans]
     flat = np.empty((h_all.shape[0], L, L))
-    if params.family is Family.D_TRILINEAR:
+    if f in (Family.D_TRILINEAR, Family.TRILINEAR):
         np.matmul(h_all, pre["A_cur"], out=flat.reshape(-1, L * L))
         bos = h_all[starts] @ pre["A_bos"]
+    elif f in MLP_FAMILIES:
+        Zw = _mlp_words(params, h_all, spans) @ pre["w1_words"].T
+        w2 = params.mlp_w2[0]
+        _mlp_scores(Zw, pre["Z_cur"], w2, flat.reshape(-1, L * L))
+        bos = _mlp_scores(Zw[starts], pre["Z_bos"], w2, np.empty((len(starts), L)))
     else:
         # shifted in-place multiply; boundary rows keep the ones factor
         P1 = h_all @ pre["u_words"][0]
         W = h_all @ pre["u_words"][1]
         for s, e in spans:
             np.multiply(P1[s: e - 1], W[s + 1: e], out=W[s + 1: e])
-        if params.family is Family.D_PENTALINEAR:
+        if f is Family.D_PENTALINEAR:
             P3 = h_all @ pre["u_words"][2]
             for s, e in spans:
                 np.multiply(W[s: e - 1], P3[s + 1: e], out=W[s: e - 1])
@@ -487,8 +577,9 @@ def score_lattices(params: ModelParams, reps_list) -> list:
     """Score lattices for a batch of sequences against one model.
 
     Sequence-independent work (label-side factor products, folded
-    tensors) is done once per call, which is what makes decoding with the
-    decomposed families nearly as cheap as with the vanilla CRF.
+    tensors, label pre-activations) is done once per call, which is what
+    makes decoding with the decomposed families nearly as cheap as with
+    the vanilla CRF.
     """
     params.validate()
     pre = _precompute(params)
@@ -497,9 +588,8 @@ def score_lattices(params: ModelParams, reps_list) -> list:
         _check_reps(params, reps)
     if not reps_list:
         return []
-    if params.family in (Family.D_TRILINEAR, Family.D_QUADRILINEAR,
-                         Family.D_PENTALINEAR):
-        return _lattices_decomposed(params, pre, reps_list)
+    if params.family in STACKED_FAMILIES:
+        return _lattices_stacked(params, pre, reps_list)
     out = []
     for reps in reps_list:
         if params.family is Family.SOFTMAX:
@@ -572,64 +662,21 @@ def _accumulate_family(params, pre, reps, lat_grad, out):
             g["label_embeddings"] += (grow.T @ H) @ params.w_h2
         return
 
-    if f is Family.TRILINEAR:
-        MM = np.einsum("mp,pqr->mqr", H, params.u_dense, optimize=True)
-        g["u_dense"] += np.einsum(
-            "mp,mab,aq,br->pqr", H, gext, T_ext, T_cur, optimize=True
-        )
-        g["label_embeddings"] += np.einsum(
-            "mab,mqr,br->aq", gext, MM, T_cur, optimize=True
-        )
-        g["label_embeddings"][:L] += np.einsum(
-            "mab,mqr,aq->br", gext, MM, T_ext, optimize=True
-        )
-        return
-
-    if f in (Family.CONCAT_MLP_1W2L, Family.CONCAT_MLP_2W2L):
-        U = _mlp_hidden_units(params, pre, reps)
-        w2 = params.mlp_w2[0]
-        dZ = gext[..., None] * (w2 * (1.0 - U * U))
-        g["mlp_w2"][0] += np.einsum("mab,mabh->h", gext, U, optimize=True)
-        g["mlp_b1"] += dZ.sum(axis=(0, 1, 2))
-        Sh = dZ.sum(axis=(1, 2))
-        Sa = dZ.sum(axis=(0, 2))
-        Sb = dZ.sum(axis=(0, 1))
-        d_h = params.d_h
-        if f is Family.CONCAT_MLP_2W2L:
-            h_prev = np.vstack([reps.h_pre[None, :], H[:-1]])
-            g["mlp_w1"][:, :d_h] += Sh.T @ h_prev
-            g["mlp_w1"][:, d_h: 2 * d_h] += Sh.T @ H
-            off = 2 * d_h
-        else:
-            g["mlp_w1"][:, :d_h] += Sh.T @ H
-            off = d_h
-        g["mlp_w1"][:, off: off + params.d_t] += Sa.T @ T_ext
-        g["mlp_w1"][:, off + params.d_t:] += Sb.T @ T_cur
-        g["label_embeddings"] += Sa @ pre["w1_prev_label"]
-        g["label_embeddings"][:L] += Sb @ pre["w1_cur_label"]
-        return
-
     raise AssertionError("unhandled family %r" % f)
 
 
-def _accumulate_decomposed(params, pre, reps_list, lat_grads, out):
-    """Batched gradient pullback for the decomposed families.
+def _accumulate_decomposed(params, pre, h_all, spans, gext, out):
+    """Gradient pullback for the decomposed families.
 
-    Sequences are stacked along the position axis, so every contraction
-    that sums over positions and sequences runs as one GEMM.  Boundary
-    neighbor factors are constant ones and contribute no gradient, which
-    falls out of the all-zero rows of the shifted word matrices.
+    Every contraction that sums over positions and sequences runs as one
+    GEMM.  Boundary neighbor factors are constant ones and contribute no
+    gradient, which falls out of the all-zero rows of the shifted word
+    matrices.
     """
     L = params.num_labels
     f = params.family
     g = out.arrays
-    h_all = np.vstack([r.h for r in reps_list])
-    spans = _stacked_spans(reps_list)
     total = h_all.shape[0]
-    gext = np.zeros((total, L + 1, L))
-    for (s, e), lg in zip(spans, lat_grads):
-        gext[s, L] = lg[0].sum(axis=0)
-        gext[s + 1: e, :L] = lg[1:]
     factors = _stacked_word_factors(params, pre, h_all, spans)
     W = factors[0]
     for extra in factors[1:]:
@@ -651,22 +698,85 @@ def _accumulate_decomposed(params, pre, reps_list, lat_grads, out):
     if f is Family.D_TRILINEAR:
         g["u_h"] += h_all.T @ base
         return
-    # shifted word matrices: zero rows where the neighbor is out of range
-    h_prev = np.zeros_like(h_all)
-    for s, e in spans:
-        h_prev[s + 1: e] = h_all[s: e - 1]
+    h_prev = _neighbor_rows(h_all, spans, prev=True)
     if f is Family.D_QUADRILINEAR:
         G3, G4 = factors
         g["u_h1"] += h_prev.T @ (base * G4)
         g["u_h2"] += h_all.T @ (base * G3)
         return
     G3, G4, G5 = factors
-    h_next = np.zeros_like(h_all)
-    for s, e in spans:
-        h_next[s: e - 1] = h_all[s + 1: e]
+    h_next = _neighbor_rows(h_all, spans, prev=False)
     g["u_h1"] += h_prev.T @ (base * G4 * G5)
     g["u_h2"] += h_all.T @ (base * G3 * G5)
     g["u_h3"] += h_next.T @ (base * G3 * G4)
+
+
+def _accumulate_trilinear(params, pre, h_all, spans, gext, out):
+    """Pullback of score[m, a, b] = h[m] . (U x T_ext[a] x T_cur[b]).
+
+    K[p, a, b] = sum_m h[m, p] gext[m, a, b] carries all the position
+    dependence, so after that one GEMM the three contractions are small.
+    """
+    L, d_h = params.num_labels, params.d_h
+    g = out.arrays
+    T_ext, T_cur = pre["T_ext"], pre["T_cur"]
+    K = (h_all.T @ gext.reshape(len(h_all), -1)).reshape(d_h, L + 1, L)
+    g["u_dense"] += np.matmul(T_ext.T, K) @ T_cur
+    g["label_embeddings"] += np.matmul(K, pre["UT"].transpose(0, 2, 1)).sum(axis=0)
+    TU = np.matmul(T_ext, params.u_dense)       # (d_h, L+1, d_t)
+    g["label_embeddings"][:L] += np.matmul(K.transpose(0, 2, 1), TU).sum(axis=0)
+
+
+def _accumulate_mlp(params, pre, h_all, spans, gext, out):
+    """Pullback of the concat-MLP families, one blocked pass over the batch.
+
+    Real previous labels read the (L, L) block of the stacked ext
+    gradient (zero at each sequence's first position); the BOS row of the
+    first positions gets its own, smaller pass.
+    """
+    L, d_t = params.num_labels, params.d_t
+    g = out.arrays
+    starts = [s for s, _ in spans]
+    X = _mlp_words(params, h_all, spans)
+    Zw = X @ pre["w1_words"].T
+    w2 = params.mlp_w2[0]
+    g_w2, S_w, S_cur = _mlp_pullback(
+        Zw, pre["Z_cur"], w2, gext[:, :L].reshape(len(h_all), L * L))
+    g_bos, S_w_bos, S_bos = _mlp_pullback(Zw[starts], pre["Z_bos"], w2, gext[starts, L])
+    S_w[starts] += S_w_bos
+    S_w *= w2
+    S_cur = S_cur.reshape(L, L, -1)
+    Sa = np.vstack([S_cur.sum(axis=1), S_bos.sum(axis=0)[None]]) * w2   # (L+1, H)
+    Sb = (S_cur.sum(axis=0) + S_bos) * w2                                # (L, H)
+    g["mlp_w2"][0] += g_w2 + g_bos
+    g["mlp_b1"] += Sb.sum(axis=0)
+    d_w = X.shape[1]
+    g["mlp_w1"][:, :d_w] += S_w.T @ X
+    g["mlp_w1"][:, d_w: d_w + d_t] += Sa.T @ pre["T_ext"]
+    g["mlp_w1"][:, d_w + d_t:] += Sb.T @ pre["T_cur"]
+    g["label_embeddings"] += Sa @ pre["w1_prev_label"]
+    g["label_embeddings"][:L] += Sb @ pre["w1_cur_label"]
+
+
+def _accumulate_stacked(params, pre, reps_list, lat_grads, out):
+    """Batched pullback for the stacked families: sequences are stacked
+    along the position axis and their lattice gradients lifted into one
+    (N, L+1, L) ext gradient, whose row L at each sequence's first
+    position collects the BOS-conditioned scores' gradient."""
+    L = params.num_labels
+    h_all = np.vstack([r.h for r in reps_list])
+    spans = _stacked_spans(reps_list)
+    gext = np.zeros((h_all.shape[0], L + 1, L))
+    for (s, e), lg in zip(spans, lat_grads):
+        gext[s, L] = lg[0].sum(axis=0)
+        gext[s + 1: e, :L] = lg[1:]
+    if params.family is Family.TRILINEAR:
+        accumulate = _accumulate_trilinear
+    elif params.family in MLP_FAMILIES:
+        accumulate = _accumulate_mlp
+    else:
+        accumulate = _accumulate_decomposed
+    accumulate(params, pre, h_all, spans, gext, out)
 
 
 def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
@@ -692,9 +802,8 @@ def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
             )
     if not reps_list:
         return out
-    if params.family in (Family.D_TRILINEAR, Family.D_QUADRILINEAR,
-                         Family.D_PENTALINEAR):
-        _accumulate_decomposed(params, pre, reps_list, lat_grads, out)
+    if params.family in STACKED_FAMILIES:
+        _accumulate_stacked(params, pre, reps_list, lat_grads, out)
         return out
     for reps, lg in zip(reps_list, lat_grads):
         _accumulate_family(params, pre, reps, lg, out)

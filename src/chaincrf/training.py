@@ -68,6 +68,22 @@ class TrainConfig:
             raise ValueError("subsample_fraction must be in (0, 1]")
 
 
+class TrainingDiverged(ValueError):
+    """A batch gave a non-finite loss or left a parameter non-finite.
+
+    `field` names the parameter field, or is None for the loss; `epoch`
+    and `batch` (the batch's index within the epoch) count from 0.
+    """
+
+    def __init__(self, field, epoch, batch):
+        self.field = field
+        self.epoch = epoch
+        self.batch = batch
+        what = "loss" if field is None else "parameter in %s" % field
+        super().__init__("training diverged: non-finite %s at epoch %d, batch %d"
+                         % (what, epoch, batch))
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -189,15 +205,10 @@ def train(config: TrainConfig, train_set, dev_set, reps_provider,
             order = _epoch_rng(config.seed, epoch).permutation(n)
             lr = config.learning_rate * (config.lr_decay ** epoch)
             total_loss = 0.0
-            for lo in range(0, n, config.batch_size):
+            for b, lo in enumerate(range(0, n, config.batch_size)):
                 batch = order[lo: lo + config.batch_size]
                 batch_reps = [reps[k] for k in batch]
-                try:
-                    lattices = score_lattices(params, batch_reps)
-                except ValueError as exc:
-                    if "non-finite parameter" in str(exc):
-                        raise ValueError("training diverged") from None
-                    raise
+                lattices = score_lattices(params, batch_reps)
                 batch_gold = [gold[k] for k in batch]
                 if pool is not None:
                     # `threads` contiguous slices, joined in batch order
@@ -211,7 +222,7 @@ def train(config: TrainConfig, train_set, dev_set, reps_provider,
                     results = nll_and_grad_batch(lattices, batch_gold)
                 losses = [r[0] for r in results]
                 if not np.isfinite(sum(losses)):
-                    raise ValueError("training diverged")
+                    raise TrainingDiverged(None, epoch, b)
                 total_loss += sum(losses)
                 grad = backprop_lattices(params, batch_reps, [r[1] for r in results])
                 grad.scale(1.0 / len(batch))
@@ -221,11 +232,9 @@ def train(config: TrainConfig, train_set, dev_set, reps_provider,
                         grad.scale(config.grad_clip / norm)
                 for name, arr in params.param_items():
                     arr -= lr * (grad.arrays[name] + config.l2 * arr)
+                    if not np.all(np.isfinite(arr)):
+                        raise TrainingDiverged(name, epoch, b)
             mean_loss = total_loss / n
-            if not np.isfinite(mean_loss) or any(
-                not np.all(np.isfinite(arr)) for _, arr in params.param_items()
-            ):
-                raise ValueError("training diverged")
             dev_metric = (
                 evaluate_model(params, dev_set, dev_reps, vocab, metric)
                 if dev_set else float("nan")

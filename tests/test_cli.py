@@ -3,6 +3,7 @@ import json
 import pytest
 
 from chaincrf import (
+    Family,
     SyntheticSpec,
     generate_synthetic,
     load_model,
@@ -207,6 +208,22 @@ def test_tag_non_finite_embedding_exit_1(tmp_path, capsys):
     assert "error: line %d: non-finite embedding value" % len(lines) in capsys.readouterr().err
 
 
+def test_tag_inconsistent_model_exit_1(tmp_path, capsys):
+    paths = write_corpus(tmp_path)
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
+    assert main(["train", "--config", str(config_path)]) == 0
+    lines = open(cfg["model_path"], encoding="utf-8").read().splitlines()
+    k = lines.index("labels 3")
+    # header says 2 labels and the third label name is dropped
+    lines = lines[:k] + ["labels 2"] + lines[k + 1: k + 3] + lines[k + 4:]
+    broken = tmp_path / "broken.model"
+    broken.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["tag", "--model", str(broken), "--embeddings", str(paths["emb"]),
+                 "--input", str(paths["test"]), "--output", str(tmp_path / "out.conll")]) == 1
+    assert "error: model file lists 2 labels but num_labels is 3" in capsys.readouterr().err
+
+
 def test_eval_identical_files(tmp_path, capsys):
     gold = tmp_path / "gold.conll"
     gold.write_text("a S-X\nb O\n\n")
@@ -265,6 +282,14 @@ def test_bench_smoke(tmp_path, capsys):
     assert lines[0].startswith("family,")
     assert lines[1].startswith("vanilla-crf,")
     capsys.readouterr()
+
+
+def test_bench_all_families(capsys):
+    assert main(["bench", "--family", "all", "--labels", "3", "--d-h", "4",
+                 "--d-t", "3", "--d-r", "2", "--length", "3", "--batch", "2",
+                 "--reps", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == [f.value for f in Family]
 
 
 def test_bench_degenerate_length_one():

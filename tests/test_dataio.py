@@ -305,3 +305,38 @@ def test_model_missing_field_named():
     text = "\n".join(lines[:start] + lines[end:]) + "\n"
     with pytest.raises(ValueError, match="missing field: w_h"):
         load_model(io.StringIO(text))
+
+
+def _model_text(family=Family.VANILLA_CRF):
+    params = init_params(family, 3, 4, seed=5)
+    buf = io.StringIO()
+    save_model(params, _vocab(3), buf)
+    return buf.getvalue()
+
+
+def test_model_label_count_mismatch_rejected():
+    # one label name dropped: without the check `tag` fails with an
+    # IndexError on the missing label
+    text = _model_text().replace("labels 3\nL0\nL1\nL2\n", "labels 2\nL0\nL1\n")
+    with pytest.raises(ValueError, match="lists 2 labels but num_labels is 3"):
+        load_model(io.StringIO(text))
+
+
+def test_save_model_rejects_label_count_mismatch():
+    params = init_params(Family.VANILLA_CRF, 3, 4, seed=5)
+    with pytest.raises(ValueError, match="vocabulary has 2 labels but the model has 3"):
+        save_model(params, _vocab(2), io.StringIO())
+
+
+def test_model_duplicate_label_rejected():
+    text = _model_text().replace("L0\nL1\nL2\n", "L0\nL1\nL0\n")
+    with pytest.raises(ValueError, match="duplicate label in model file: L0"):
+        load_model(io.StringIO(text))
+
+
+def test_model_bare_param_line_rejected():
+    lines = _model_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if l.startswith("param w_h"))
+    lines[k] = "param"
+    with pytest.raises(ValueError, match="malformed model file at line %d" % (k + 1)):
+        load_model(io.StringIO("\n".join(lines) + "\n"))

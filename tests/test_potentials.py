@@ -1,20 +1,27 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincrf import (
     Family,
     ModelParams,
     RepresentationSequence,
     backprop_lattice,
+    backprop_lattices,
     finite_diff_grad,
     init_params,
     make_rng,
     nll_and_grad,
     reconstruct_dense_trilinear,
     score_lattice,
+    score_lattices,
 )
+from chaincrf import potentials
 from chaincrf.cli import max_relative_error
-from chaincrf.potentials import ParamGrad
+from chaincrf.potentials import MLP_FAMILIES, STACKED_FAMILIES, ParamGrad
 
 from helpers import SMALL, random_reps, small_params, small_reps
 
@@ -295,12 +302,12 @@ def test_init_params_deterministic():
 # batched paths: ragged lengths, length-one sequences
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("family",
-                         [Family.D_TRILINEAR, Family.D_QUADRILINEAR, Family.D_PENTALINEAR],
-                         ids=lambda f: f.value)
-def test_ragged_batch_scoring_matches_single_sequence(family):
-    from chaincrf import score_lattices
+STACKED = sorted(STACKED_FAMILIES, key=list(Family).index)
+MLP = sorted(MLP_FAMILIES, key=list(Family).index)
 
+
+@pytest.mark.parametrize("family", STACKED, ids=lambda f: f.value)
+def test_ragged_batch_scoring_matches_single_sequence(family):
     p = small_params(family, seed=3)
     reps_list = [random_reps(m, SMALL["d_h"], seed=10 + m) for m in (1, 3, 5, 2)]
     batched = score_lattices(p, reps_list)
@@ -308,12 +315,8 @@ def test_ragged_batch_scoring_matches_single_sequence(family):
         np.testing.assert_allclose(lat, score_lattice(p, reps), atol=1e-12)
 
 
-@pytest.mark.parametrize("family",
-                         [Family.D_TRILINEAR, Family.D_QUADRILINEAR, Family.D_PENTALINEAR],
-                         ids=lambda f: f.value)
+@pytest.mark.parametrize("family", STACKED, ids=lambda f: f.value)
 def test_ragged_batch_backprop_matches_sum_of_singles(family):
-    from chaincrf import backprop_lattices
-
     p = small_params(family, seed=4)
     L = SMALL["num_labels"]
     reps_list = [random_reps(m, SMALL["d_h"], seed=20 + m) for m in (1, 4, 2)]
@@ -342,3 +345,113 @@ def test_nll_gradient_length_one_sequence(family):
     )
     for name, num in numeric.arrays.items():
         assert max_relative_error(analytic.arrays[name], num) < 1e-4, name
+
+
+@pytest.mark.parametrize("family", MLP, ids=lambda f: f.value)
+def test_mlp_one_position_blocks_match_default(family):
+    # a one-cell budget makes every position (and every BOS row) its own block
+    p = small_params(family, seed=8)
+    L = SMALL["num_labels"]
+    reps_list = [random_reps(m, SMALL["d_h"], seed=40 + m) for m in (3, 1, 6)]
+    grads = [make_rng(50 + i).standard_normal((r.length, L, L))
+             for i, r in enumerate(reps_list)]
+    lats = score_lattices(p, reps_list)
+    grad = backprop_lattices(p, reps_list, grads)
+    with mock.patch.object(potentials, "MLP_BLOCK_CELLS", 1):
+        assert potentials._mlp_blocks(10, 1) == [slice(k, k + 1) for k in range(10)]
+        lats_1 = score_lattices(p, reps_list)
+        grad_1 = backprop_lattices(p, reps_list, grads)
+    for a, b in zip(lats, lats_1):
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+    for name in grad.arrays:
+        np.testing.assert_allclose(grad_1.arrays[name], grad.arrays[name], rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def stacked_batches(draw):
+    """A stacked family, a ragged batch of 1-8 sequences of length 1-7 and
+    one random lattice gradient per sequence."""
+    family = draw(st.sampled_from(STACKED))
+    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = make_rng(seed)
+    p = small_params(family, seed=seed % 1000)
+    L = SMALL["num_labels"]
+    reps_list = [RepresentationSequence.from_array(rng.standard_normal((m, SMALL["d_h"])))
+                 for m in lengths]
+    grads = [rng.standard_normal((m, L, L)) for m in lengths]
+    return p, reps_list, grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_batches())
+def test_stacked_batch_equals_sum_of_single_sequences(batch):
+    p, reps_list, grads = batch
+    lats = score_lattices(p, reps_list)
+    total = ParamGrad.zeros(p)
+    for reps, lat, lg in zip(reps_list, lats, grads):
+        np.testing.assert_allclose(lat, score_lattice(p, reps), rtol=1e-12, atol=1e-12)
+        total.add(backprop_lattice(p, reps, lg))
+    batched = backprop_lattices(p, reps_list, grads)
+    for name in total.arrays:
+        np.testing.assert_allclose(batched.arrays[name], total.arrays[name],
+                                   rtol=1e-10, atol=1e-10)
+
+
+def reference_ext_and_grads(p, h, lat_grad):
+    """Per-sequence reference for trilinear and concat-MLP: the (M, L+1, L)
+    ext score table, from explicit einsums and the full activation tensor,
+    and the pullback of `lat_grad` through it."""
+    L, d_t = p.num_labels, p.d_t
+    T_ext = p.label_embeddings
+    T_cur = T_ext[:L]
+    gext = np.zeros((len(h), L + 1, L))
+    gext[0, L] = lat_grad[0].sum(axis=0)
+    gext[1:, :L] = lat_grad[1:]
+    g = {}
+    if p.family is Family.TRILINEAR:
+        ext = np.einsum("mp,pqr,aq,br->mab", h, p.u_dense, T_ext, T_cur)
+        MM = np.einsum("mp,pqr->mqr", h, p.u_dense)
+        g["u_dense"] = np.einsum("mp,mab,aq,br->pqr", h, gext, T_ext, T_cur)
+        g["label_embeddings"] = np.einsum("mab,mqr,br->aq", gext, MM, T_cur)
+        g["label_embeddings"][:L] += np.einsum("mab,mqr,aq->br", gext, MM, T_ext)
+        return ext, g
+    w1 = p.mlp_w1
+    X = h
+    if p.family is Family.CONCAT_MLP_2W2L:
+        X = np.hstack([np.vstack([np.zeros((1, p.d_h)), h[:-1]]), h])
+    d_w = X.shape[1]
+    Z = ((X @ w1[:, :d_w].T)[:, None, None, :]
+         + (T_ext @ w1[:, d_w: d_w + d_t].T)[None, :, None, :]
+         + (T_cur @ w1[:, d_w + d_t:].T)[None, None, :, :]
+         + p.mlp_b1)
+    U = np.tanh(Z)
+    ext = U @ p.mlp_w2[0]
+    dZ = gext[..., None] * (p.mlp_w2[0] * (1.0 - U * U))
+    Sa, Sb = dZ.sum(axis=(0, 2)), dZ.sum(axis=(0, 1))
+    g["mlp_w2"] = np.einsum("mab,mabh->h", gext, U)[None]
+    g["mlp_b1"] = dZ.sum(axis=(0, 1, 2))
+    g["mlp_w1"] = np.hstack([dZ.sum(axis=(1, 2)).T @ X, Sa.T @ T_ext, Sb.T @ T_cur])
+    g["label_embeddings"] = Sa @ w1[:, d_w: d_w + d_t]
+    g["label_embeddings"][:L] += Sb @ w1[:, d_w + d_t:]
+    return ext, g
+
+
+@pytest.mark.parametrize("family", [Family.TRILINEAR] + MLP, ids=lambda f: f.value)
+def test_stacked_path_matches_per_sequence_reference(family):
+    p = small_params(family, seed=12)
+    L = SMALL["num_labels"]
+    reps_list = [random_reps(m, SMALL["d_h"], seed=60 + m) for m in (4, 1, 7, 2)]
+    grads = [make_rng(70 + i).standard_normal((r.length, L, L))
+             for i, r in enumerate(reps_list)]
+    want = {name: np.zeros_like(arr) for name, arr in p.param_items()}
+    for reps, lat, lg in zip(reps_list, score_lattices(p, reps_list), grads):
+        ext, g = reference_ext_and_grads(p, reps.h, lg)
+        np.testing.assert_allclose(lat[0], np.broadcast_to(ext[0, L], (L, L)),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lat[1:], ext[1:, :L], rtol=1e-12, atol=1e-12)
+        for name, arr in g.items():
+            want[name] += arr
+    got = backprop_lattices(p, reps_list, grads)
+    for name, arr in want.items():
+        np.testing.assert_allclose(got.arrays[name], arr, rtol=1e-12, atol=1e-12, err_msg=name)

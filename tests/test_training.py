@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from chaincrf import (
     Family,
+    RepresentationSequence,
     SyntheticSpec,
     TokenSequence,
     TrainConfig,
+    TrainingDiverged,
     backprop_lattices,
     build_label_vocab,
     generate_synthetic,
@@ -166,8 +169,26 @@ def test_train_diverges_raises():
     # the l2 feedback at this rate overflows the parameters to inf
     config = TrainConfig(family=Family.VANILLA_CRF, learning_rate=1e200,
                          max_epochs=5, seed=1)
-    with pytest.raises(ValueError, match="diverged"):
+    with pytest.raises(TrainingDiverged, match="^training diverged") as info:
         train(config, train_set, dev_set, table)
+    # the first epoch's update is finite; the second overflows the first
+    # field in update order
+    assert isinstance(info.value, ValueError)
+    assert (info.value.field, info.value.epoch, info.value.batch) == ("transition_table", 1, 0)
+    assert "non-finite parameter in transition_table at epoch 1, batch 0" in str(info.value)
+
+
+def test_train_non_finite_loss_raises():
+    train_set, dev_set, _, _ = tiny_corpus(n=6, seed=9)
+
+    def huge(seq):
+        return RepresentationSequence.from_array(np.full((len(seq.tokens), 10), 1e300))
+
+    config = TrainConfig(family=Family.VANILLA_CRF, max_epochs=3, seed=1)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        train(config, train_set, dev_set, huge)
+    assert info.value.field is None
+    assert str(info.value) == "training diverged: non-finite loss at epoch 1, batch 0"
 
 
 def test_report_csv_round_trip(tmp_path):
