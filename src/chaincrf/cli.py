@@ -10,7 +10,10 @@ anything else, such as invalid input data.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
+import os
 import re
 import sys
 import time
@@ -51,7 +54,7 @@ from .potentials import (
     score_lattice,
     score_lattices,
 )
-from .training import TrainConfig, decode_paths, train
+from .training import TrainConfig, decode_paths, sgd_update, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -315,8 +318,7 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
         results = nll_and_grad_batch(lattices, golds)
         grad = backprop_lattices(params, reps_list, [r[1] for r in results])
         grad.scale(1.0 / batch)
-        for name, arr in params.param_items():
-            arr -= 0.1 * (grad.arrays[name] + 1e-8 * arr)
+        sgd_update(params, grad, 0.1, 1e-8)
 
     def one_decode_pass():
         decode_paths(params, score_lattices(params, reps_list))
@@ -339,6 +341,31 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
     }
 
 
+def blas_threads():
+    """Thread count of the OpenBLAS bundled with numpy, or None when the
+    loaded BLAS cannot be asked."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
+def bench_environment():
+    """numpy and BLAS versions, nproc and the BLAS thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.26 has no dict form
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "nproc": os.cpu_count(),
+            "blas_threads": blas_threads()}
+
+
 def cmd_bench(args) -> int:
     names = [f.value for f in Family] if args.family == "all" else args.family.split(",")
     rows = []
@@ -348,12 +375,17 @@ def cmd_bench(args) -> int:
             d_r=args.d_r, length=args.length, batch=args.batch,
             reps=args.reps, seed=args.seed,
         ))
-    header = "family,train_step_seconds,decode_seconds_per_sequence"
-    lines = [header] + [
-        "%s,%r,%r" % (r["family"], r["train_step_seconds"], r["decode_seconds_per_sequence"])
-        for r in rows
-    ]
-    text = "\n".join(lines) + "\n"
+    if args.json:
+        settings = {k: getattr(args, k)
+                    for k in ("labels", "d_h", "d_t", "d_r", "length", "batch", "reps", "seed")}
+        text = json.dumps({"environment": bench_environment(), "settings": settings,
+                           "rows": rows}) + "\n"
+    else:
+        header = "family,train_step_seconds,decode_seconds_per_sequence"
+        text = "\n".join([header] + [
+            "%s,%r,%r" % (r["family"], r["train_step_seconds"], r["decode_seconds_per_sequence"])
+            for r in rows
+        ]) + "\n"
     print(text, end="")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -418,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object with the rows and the environment")
     p.set_defaults(func=cmd_bench)
     return parser
 

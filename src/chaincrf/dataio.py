@@ -274,66 +274,66 @@ class EmbeddingTable:
 
 
 def load_embeddings(source, expected_dim=None) -> EmbeddingTable:
-    """Load a text embedding table: optional 'count dim' header, then
-    one token and its floats per line.  The unknown vector is the mean of
-    all loaded vectors."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
+    """Load a text embedding table: optional 'count dim' header, then one
+    token and its floats per line.  One `np.loadtxt` call parses the values
+    of all lines into an (n, d) matrix; tokens map to its rows, and the
+    unknown vector is the mean of the rows kept."""
+    if not hasattr(source, "read"):
         with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    vectors = {}
-    dim = expected_dim
-    declared = None
-    start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2:
-            try:
-                declared = (int(head[0]), int(head[1]))
-                start = 1
-            except ValueError:
-                declared = None
-    for lineno in range(start, len(lines)):
-        line = lines[lineno].strip()
-        if not line:
-            continue
-        cols = line.split()
-        token = cols[0]
-        try:
-            vec = np.array([float(x) for x in cols[1:]], dtype=np.float64)
-        except ValueError:
-            raise ValueError("line %d: non-numeric embedding value" % (lineno + 1)) from None
-        if dim is None:
-            dim = vec.shape[0]
-        if vec.shape[0] != dim:
-            raise ValueError(
-                "line %d: expected %d dimensions, got %d" % (lineno + 1, dim, vec.shape[0])
-            )
-        vectors[token] = vec
-    if not vectors:
-        raise ValueError("embedding file contains no vectors")
-    if declared is not None:
-        if declared[0] != len(vectors):
-            warnings.warn(
-                "embedding header declares %d vectors, file has %d"
-                % (declared[0], len(vectors))
-            )
-        if declared[1] != dim:
-            warnings.warn(
-                "embedding header declares dimension %d, vectors have %d"
-                % (declared[1], dim)
-            )
-    stacked = np.stack(list(vectors.values()))
+            return load_embeddings(fh, expected_dim)
+    tokens, declared, dim, row = [], None, expected_dim, None
+
+    def rows():
+        nonlocal declared, dim, row
+        for lineno, line in enumerate(source, start=1):
+            if lineno == 1 and len(line.split()) == 2:
+                try:
+                    declared = tuple(int(v) for v in line.split())
+                    continue
+                except ValueError:
+                    pass
+            cols = line.split(None, 1)
+            if not cols:
+                continue
+            row = (lineno, cols[1] if len(cols) == 2 else "")
+            # loadtxt skips an empty row and checks widths from row 2 on
+            dim = len(row[1].split()) if dim is None else dim
+            if len(cols) == 1 or (not tokens and len(row[1].split()) != dim):
+                raise ValueError
+            tokens.append((cols[0], lineno))
+            yield cols[1]
+        if row is None:
+            raise ValueError   # before loadtxt warns about an empty input
+
+    try:
+        matrix = np.loadtxt(rows(), dtype=np.float64, comments=None, quotechar=None, ndmin=2)
+    except UnicodeError:   # undecodable bytes, not a malformed row
+        raise
+    except ValueError:
+        if row is None:
+            raise ValueError("embedding file contains no vectors") from None
+        # loadtxt pulls one row at a time, so `row` is the failing line
+        lineno, got = row[0], len(row[1].split())
+        if got != dim or not got:
+            raise ValueError("line %d: expected %s dimensions, got %d"
+                             % (lineno, dim or "1 or more", got)) from None
+        raise ValueError("line %d: non-numeric embedding value" % lineno) from None
+    index = {token: k for k, (token, _) in enumerate(tokens)}
+    if declared is not None and declared[0] != len(index):
+        warnings.warn("embedding header declares %d vectors, file has %d"
+                      % (declared[0], len(index)))
+    if declared is not None and declared[1] != dim:
+        warnings.warn("embedding header declares dimension %d, vectors have %d"
+                      % (declared[1], dim))
+    kept = list(index.values())
+    stacked = matrix if len(kept) == len(tokens) else matrix[kept]
     finite = np.isfinite(stacked).all(axis=1)
     if not finite.all():
-        # a nan/inf would poison the mean unknown vector; report the line
-        # whose vector the table kept (the last one for a repeated token)
-        token = list(vectors)[int(np.argmin(finite))]
-        lineno = max(k for k in range(start, len(lines)) if lines[k].split()[:1] == [token])
-        raise ValueError("line %d: non-finite embedding value" % (lineno + 1))
-    unk = np.mean(stacked, axis=0)
-    return EmbeddingTable(dim=int(dim), vectors=vectors, unk=unk)
+        # a nan/inf would poison the mean; name the line of the kept (last) copy
+        lineno = tokens[kept[int(np.argmin(finite))]][1]
+        raise ValueError("line %d: non-finite embedding value" % lineno)
+    vectors = {token: matrix[k] for token, k in index.items()}
+    return EmbeddingTable(dim=int(dim), vectors=vectors, unk=np.mean(stacked, axis=0))
 
 
 def write_embeddings(table: EmbeddingTable, target):

@@ -16,8 +16,8 @@ Boundary words.  Families whose potential multiplies in a factor of the
 previous or next word representation (d-quadrilinear, d-pentalinear)
 treat an out-of-range neighbor as a ones factor, so the boundary
 positions degrade to the next-lower-order potential instead of vanishing.
-The concat-MLP families instead concatenate the all-zero boundary vector
-carried by the representation sequence.
+The concat-MLP-2w2l family instead concatenates an all-zero vector for the
+word before the sentence.
 
 Batches.  The trilinear, decomposed and concat-MLP families
 (`STACKED_FAMILIES`) score and pull back a whole batch in one pass: the
@@ -106,19 +106,16 @@ PARAM_FIELDS = (
 
 @dataclass
 class RepresentationSequence:
-    """Per-token dense vectors h_1..h_M plus all-zero boundary vectors."""
+    """Per-token dense vectors h_1..h_M."""
 
-    h: np.ndarray       # (M, d_h)
-    h_pre: np.ndarray   # (d_h,), zeros; stands in for the word before the sentence
-    h_post: np.ndarray  # (d_h,), zeros; stands in for the word after the sentence
+    h: np.ndarray   # (M, d_h)
 
     @classmethod
     def from_array(cls, h) -> "RepresentationSequence":
         h = np.asarray(h, dtype=np.float64)
         if h.ndim != 2 or h.shape[0] < 1:
             raise ValueError("representations must be a non-empty (M, d_h) array")
-        zero = np.zeros(h.shape[1])
-        return cls(h=h, h_pre=zero, h_post=zero.copy())
+        return cls(h=h)
 
     @property
     def length(self) -> int:

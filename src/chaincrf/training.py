@@ -159,6 +159,30 @@ def evaluate_model(params, seqs, reps_list, vocab, metric):
     return result.f1 if metric == METRIC_SPAN_F1 else result.token_accuracy
 
 
+SGD_BLOCK = 1 << 15   # elements per step of `sgd_update` (256 KB of float64)
+
+
+def sgd_update(params, grad, lr, l2):
+    """theta <- theta - lr * (grad + l2 * theta) on every field, in place,
+    with the expression's operations in its order (so bit-identical to it)
+    but no field-sized temporary: blocks of whole rows of about SGD_BLOCK
+    elements share one scratch buffer for `l2 * theta`, and the rest is
+    written through the gradient arrays."""
+    scratch = np.empty(SGD_BLOCK)
+    for name, theta in params.param_items():
+        g = grad.arrays[name]
+        rows = max(1, SGD_BLOCK * theta.shape[0] // theta.size)
+        for lo in range(0, theta.shape[0], rows):
+            t, gb = theta[lo: lo + rows], g[lo: lo + rows]
+            if scratch.size < t.size:   # a single row longer than SGD_BLOCK
+                scratch = np.empty(t.size)
+            buf = scratch[: t.size].reshape(t.shape)
+            np.multiply(l2, t, out=buf)
+            np.add(gb, buf, out=gb)
+            np.multiply(lr, gb, out=gb)
+            np.subtract(t, gb, out=t)
+
+
 def train(config: TrainConfig, train_set, dev_set, reps_provider,
           vocab=None, verbose=False, log=print):
     """Train one model; returns (best parameters, report).
@@ -230,8 +254,8 @@ def train(config: TrainConfig, train_set, dev_set, reps_provider,
                     norm = grad.norm()
                     if norm > config.grad_clip:
                         grad.scale(config.grad_clip / norm)
+                sgd_update(params, grad, lr, config.l2)
                 for name, arr in params.param_items():
-                    arr -= lr * (grad.arrays[name] + config.l2 * arr)
                     if not np.all(np.isfinite(arr)):
                         raise TrainingDiverged(name, epoch, b)
             mean_loss = total_loss / n

@@ -1,5 +1,7 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
 from chaincrf import (
@@ -208,6 +210,24 @@ def test_tag_non_finite_embedding_exit_1(tmp_path, capsys):
     assert "error: line %d: non-finite embedding value" % len(lines) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("bad" + " 0.5" * 9 + " x", "non-numeric embedding value"),
+    ("bad" + " 0.5" * 9, "expected 10 dimensions, got 9"),
+])
+def test_tag_malformed_embedding_row_exit_1(tmp_path, capsys, bad_row, message):
+    paths = write_corpus(tmp_path)
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
+    assert main(["train", "--config", str(config_path)]) == 0
+    lines = paths["emb"].read_text().splitlines()
+    lines.insert(3, bad_row)
+    broken = tmp_path / "broken_emb.txt"
+    broken.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(broken),
+                 "--input", str(paths["test"]), "--output", str(tmp_path / "out.conll")]) == 1
+    assert "error: line 4: %s" % message in capsys.readouterr().err
+
+
 def test_tag_inconsistent_model_exit_1(tmp_path, capsys):
     paths = write_corpus(tmp_path)
     config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
@@ -290,6 +310,28 @@ def test_bench_all_families(capsys):
                  "--reps", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [f.value for f in Family]
+
+
+def test_bench_json_rows_and_environment(tmp_path, capsys):
+    out_path = tmp_path / "bench.json"
+    assert main(["bench", "--family", "vanilla-crf,d-trilinear", "--labels", "3",
+                 "--d-h", "4", "--d-t", "3", "--d-r", "2", "--length", "3",
+                 "--batch", "2", "--reps", "1", "--json", "--output", str(out_path)]) == 0
+    stdout = capsys.readouterr().out
+    assert len(stdout.splitlines()) == 1
+    record = json.loads(stdout)
+    assert json.loads(out_path.read_text()) == record
+    assert [r["family"] for r in record["rows"]] == ["vanilla-crf", "d-trilinear"]
+    for row in record["rows"]:
+        assert row["train_step_seconds"] > 0.0
+        assert row["decode_seconds_per_sequence"] > 0.0
+    env = record["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["nproc"] == os.cpu_count()
+    assert set(env) == {"numpy", "blas", "blas_version", "nproc", "blas_threads"}
+    assert env["blas_threads"] is None or env["blas_threads"] >= 1
+    assert record["settings"] == {"labels": 3, "d_h": 4, "d_t": 3, "d_r": 2, "length": 3,
+                                  "batch": 2, "reps": 1, "seed": 0}
 
 
 def test_bench_degenerate_length_one():

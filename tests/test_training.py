@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from chaincrf import (
     backprop_lattices,
     build_label_vocab,
     generate_synthetic,
+    init_params,
+    make_rng,
     nll_and_grad,
     score_lattice,
     score_lattices,
@@ -20,7 +23,9 @@ from chaincrf import (
     subsample,
     train,
 )
-from chaincrf.training import evaluate_model
+from chaincrf import training
+from chaincrf.potentials import ParamGrad
+from chaincrf.training import evaluate_model, sgd_update
 
 
 def tiny_corpus(n=12, seed=0):
@@ -202,3 +207,18 @@ def test_report_csv_round_trip(tmp_path):
     assert len(lines) == 1 + len(report.epochs)
     row = lines[1].split(",")
     assert float(row[1]) == report.epochs[0].train_loss
+
+
+@pytest.mark.parametrize("block", [7, 1 << 15])
+def test_sgd_update_matches_expression_bit_for_bit(block):
+    # block 7 splits every field and leaves u_dense rows (d_t * d_t = 16)
+    # longer than one block
+    params = init_params(Family.TRILINEAR, 3, 5, seed=1, d_t=4)
+    rng = make_rng(9)
+    grads = {name: rng.standard_normal(arr.shape) for name, arr in params.param_items()}
+    want = {name: arr - 0.3 * (grads[name] + 1e-2 * arr) for name, arr in params.param_items()}
+    with mock.patch.object(training, "SGD_BLOCK", block):
+        sgd_update(params, ParamGrad(params.family, {k: g.copy() for k, g in grads.items()}),
+                   0.3, 1e-2)
+    for name, arr in params.param_items():
+        assert arr.tobytes() == want[name].tobytes(), name
