@@ -181,6 +181,7 @@ def cmd_tag(args) -> int:
         )
     seqs = read_conll(args.input)
     reps = [sequence_to_reps(seq, table) for seq in seqs]
+    del table   # the reps are copies; free the table before the file's lattices exist
     lattices = score_lattices(params, reps) if seqs else []
     tagged = []
     for seq, path in zip(seqs, decode_paths(params, lattices)):

@@ -7,6 +7,7 @@ separated by blank lines and -DOCSTART- lines are skipped.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from .potentials import Family, ModelParams, RepresentationSequence, field_shape
 SCHEME_BIOES = "BIOES"
 SCHEME_BIO = "BIO"
 SCHEME_PLAIN = "PLAIN"
+SCHEMES = (SCHEME_BIOES, SCHEME_BIO, SCHEME_PLAIN)
 
 _TAG_RE = re.compile(r"^(O|[BIES]-.+)$")
 
@@ -332,8 +334,13 @@ def load_embeddings(source, expected_dim=None) -> EmbeddingTable:
         # a nan/inf would poison the mean; name the line of the kept (last) copy
         lineno = tokens[kept[int(np.argmin(finite))]][1]
         raise ValueError("line %d: non-finite embedding value" % lineno)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unk = np.mean(stacked, axis=0)
+    if not np.isfinite(unk).all():
+        raise ValueError("embedding values too large: the mean vector used for unknown "
+                         "tokens overflows in dimension %d" % int(np.argmin(np.isfinite(unk))))
     vectors = {token: matrix[k] for token, k in index.items()}
-    return EmbeddingTable(dim=int(dim), vectors=vectors, unk=np.mean(stacked, axis=0))
+    return EmbeddingTable(dim=int(dim), vectors=vectors, unk=unk)
 
 
 def write_embeddings(table: EmbeddingTable, target):
@@ -372,6 +379,8 @@ def save_model(params: ModelParams, vocab: LabelVocab, target):
     if vocab.size != params.num_labels:
         raise ValueError("vocabulary has %d labels but the model has %d"
                          % (vocab.size, params.num_labels))
+    if vocab.scheme not in SCHEMES:
+        raise ValueError("unknown scheme: %s" % vocab.scheme)
 
     def emit(fh):
         fh.write("%s %d\n" % (FORMAT_MAGIC, FORMAT_VERSION))
@@ -417,6 +426,17 @@ class _LineReader:
             raise ValueError("missing field: %s" % key)
         return parts[1]
 
+    def expect_count(self, key, least=0):
+        value = self.expect_kv(key)
+        try:
+            count = int(value)
+        except ValueError:
+            count = None
+        if count is None or count < least:
+            raise ValueError("field %s must be an integer of at least %d, got %s"
+                             % (key, least, value))
+        return count
+
 
 def load_model(source):
     """Read a model file written by `save_model`; returns (params, vocab)."""
@@ -429,16 +449,18 @@ def load_model(source):
     head = rd.next().split()
     if len(head) != 2 or head[0] != FORMAT_MAGIC:
         raise ValueError("not a model file")
-    if int(head[1]) != FORMAT_VERSION:
+    if head[1] != str(FORMAT_VERSION):
         raise ValueError("unsupported model format version %s" % head[1])
     family = Family.from_name(rd.expect_kv("family"))
-    num_labels = int(rd.expect_kv("num_labels"))
-    d_h = int(rd.expect_kv("d_h"))
-    d_t = int(rd.expect_kv("d_t"))
-    d_r = int(rd.expect_kv("d_r"))
-    mlp_hidden = int(rd.expect_kv("mlp_hidden"))
+    num_labels = rd.expect_count("num_labels", least=1)
+    d_h = rd.expect_count("d_h", least=1)
+    d_t = rd.expect_count("d_t")
+    d_r = rd.expect_count("d_r")
+    mlp_hidden = rd.expect_count("mlp_hidden")
     scheme = rd.expect_kv("scheme")
-    n_labels = int(rd.expect_kv("labels"))
+    if scheme not in SCHEMES:
+        raise ValueError("unknown scheme in model file: %s" % scheme)
+    n_labels = rd.expect_count("labels")
     if n_labels != num_labels:
         raise ValueError("model file lists %d labels but num_labels is %d"
                          % (n_labels, num_labels))
@@ -456,15 +478,25 @@ def load_model(source):
         if len(parts) < 2 or parts[0] != "param":
             raise ValueError("malformed model file at line %d" % rd.pos)
         name = parts[1]
-        shape = tuple(int(d) for d in parts[2:])
         if name not in expected:
             raise ValueError("unexpected parameter %s for family %s" % (name, family.value))
-        if shape != expected[name]:
-            raise ValueError("parameter %s has shape %r, want %r" % (name, shape, expected[name]))
-        count = int(np.prod(shape))
+        if name in kw:
+            raise ValueError("duplicate parameter in model file: %s" % name)
+        shape = expected[name]
+        if parts[2:] != [str(d) for d in shape]:
+            raise ValueError("parameter %s has shape %s, want %r"
+                             % (name, " ".join(parts[2:]), shape))
+        count = math.prod(shape)
         values = []
         while len(values) < count:
-            values.extend(float(v) for v in rd.next().split())
+            row = rd.next()
+            if row == "end" or row.startswith("param"):
+                break    # the block ended early; reported below
+            try:
+                values.extend(float(v) for v in row.split())
+            except ValueError:
+                raise ValueError("line %d: non-numeric value in parameter %s"
+                                 % (rd.pos, name)) from None
         if len(values) != count:
             raise ValueError("parameter %s has %d values, want %d" % (name, len(values), count))
         kw[name] = np.array(values, dtype=np.float64).reshape(shape)

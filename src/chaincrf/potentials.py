@@ -24,11 +24,15 @@ Batches.  The trilinear, decomposed and concat-MLP families
 sequences are stacked along the position axis, neighbor words are shifted
 within each sequence only, and each sequence's first position gets its
 BOS-conditioned row separately.  The concat-MLP pre-activation splits into
-a word part (one GEMM over the stacked tokens) and a label part (computed
-once per call); the (positions, L, L, hidden) tanh activations are formed
-in blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole batch,
-and the pullback recomputes them block by block.  The other families score
-one sequence at a time.
+a word part and a label part (computed once per call).  The word part
+depends only on the position's word input (`h`, or `[h_prev, h]` for
+2w2l), so it is computed once per distinct input row of the batch (rows
+are equal when their bytes are): scoring gathers the distinct rows' scores
+into every position, and the pullback first sums the lattice-gradient rows
+of each distinct input.  The (rows, L, L, hidden) tanh activations are
+formed in blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole
+batch, and the pullback recomputes them block by block.  The other
+families score one sequence at a time.
 """
 
 from __future__ import annotations
@@ -451,11 +455,24 @@ def _stacked_word_factors(params, pre, h_all, spans):
 
 
 def _mlp_words(params, h_all, spans):
-    """MLP word input per stacked position: [previous word,] current word;
-    the previous word of a sequence's first position is the zero vector."""
+    """Distinct MLP word inputs X of the stacked positions and `inverse`,
+    the row of X that each position reads.  The input is [previous word,]
+    current word; the previous word of a sequence's first position is the
+    zero vector.  Rows are equal only when their bytes are, so 0.0 and
+    -0.0 stay apart."""
+    x = h_all
     if params.family is Family.CONCAT_MLP_2W2L:
-        return np.hstack([_neighbor_rows(h_all, spans, prev=True), h_all])
-    return h_all
+        x = np.hstack([_neighbor_rows(h_all, spans, prev=True), h_all])
+    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return x[first], inverse
+
+
+def _group_sums(rows, inverse, groups):
+    """out[j] = sum of rows[i] over the i with inverse[i] == j, in row order."""
+    out = np.zeros((groups,) + rows.shape[1:])
+    np.add.at(out, inverse, rows)
+    return out
 
 
 def _mlp_blocks(rows, cells_per_row):
@@ -541,10 +558,15 @@ def _lattices_stacked(params, pre, reps_list):
         np.matmul(h_all, pre["A_cur"], out=flat.reshape(-1, L * L))
         bos = h_all[starts] @ pre["A_bos"]
     elif f in MLP_FAMILIES:
-        Zw = _mlp_words(params, h_all, spans) @ pre["w1_words"].T
+        # score each distinct word input once, then gather per position
+        X, inverse = _mlp_words(params, h_all, spans)
+        Zw = X @ pre["w1_words"].T
         w2 = params.mlp_w2[0]
-        _mlp_scores(Zw, pre["Z_cur"], w2, flat.reshape(-1, L * L))
-        bos = _mlp_scores(Zw[starts], pre["Z_bos"], w2, np.empty((len(starts), L)))
+        scores = _mlp_scores(Zw, pre["Z_cur"], w2, np.empty((len(X), L * L)))
+        np.take(scores, inverse, axis=0, out=flat.reshape(-1, L * L))
+        bos_rows, bos_inverse = np.unique(inverse[starts], return_inverse=True)
+        bos = _mlp_scores(Zw[bos_rows], pre["Z_bos"], w2, np.empty((len(bos_rows), L)))
+        bos = bos[bos_inverse]
     else:
         # shifted in-place multiply; boundary rows keep the ones factor
         P1 = h_all @ pre["u_words"][0]
@@ -725,22 +747,30 @@ def _accumulate_trilinear(params, pre, h_all, spans, gext, out):
 
 
 def _accumulate_mlp(params, pre, h_all, spans, gext, out):
-    """Pullback of the concat-MLP families, one blocked pass over the batch.
+    """Pullback of the concat-MLP families, one blocked pass over the
+    distinct word inputs of the batch.
 
-    Real previous labels read the (L, L) block of the stacked ext
+    Every score is linear in its lattice gradient and positions with equal
+    word input share their activations, so the ext-gradient rows of each
+    distinct input are summed first and the pass runs once per distinct
+    row; the word gradient of `mlp_w1` is then S_w' X over the distinct
+    rows.  Real previous labels read the (L, L) block of the stacked ext
     gradient (zero at each sequence's first position); the BOS row of the
-    first positions gets its own, smaller pass.
+    first positions gets its own, smaller pass over the distinct inputs
+    among them.
     """
     L, d_t = params.num_labels, params.d_t
     g = out.arrays
     starts = [s for s, _ in spans]
-    X = _mlp_words(params, h_all, spans)
+    X, inverse = _mlp_words(params, h_all, spans)
     Zw = X @ pre["w1_words"].T
     w2 = params.mlp_w2[0]
     g_w2, S_w, S_cur = _mlp_pullback(
-        Zw, pre["Z_cur"], w2, gext[:, :L].reshape(len(h_all), L * L))
-    g_bos, S_w_bos, S_bos = _mlp_pullback(Zw[starts], pre["Z_bos"], w2, gext[starts, L])
-    S_w[starts] += S_w_bos
+        Zw, pre["Z_cur"], w2, _group_sums(gext[:, :L], inverse, len(X)).reshape(len(X), L * L))
+    bos_rows, bos_inverse = np.unique(inverse[starts], return_inverse=True)
+    g_bos, S_w_bos, S_bos = _mlp_pullback(
+        Zw[bos_rows], pre["Z_bos"], w2, _group_sums(gext[starts, L], bos_inverse, len(bos_rows)))
+    S_w[bos_rows] += S_w_bos
     S_w *= w2
     S_cur = S_cur.reshape(L, L, -1)
     Sa = np.vstack([S_cur.sum(axis=1), S_bos.sum(axis=0)[None]]) * w2   # (L+1, H)

@@ -244,6 +244,30 @@ def test_tag_inconsistent_model_exit_1(tmp_path, capsys):
     assert "error: model file lists 2 labels but num_labels is 3" in capsys.readouterr().err
 
 
+def _repeat_u_h_block_of_nines(lines):
+    k = next(i for i, l in enumerate(lines) if l.startswith("param u_h "))
+    rows, cols = (int(d) for d in lines[k].split()[2:])
+    return lines[:-1] + [lines[k]] + [" ".join(["9.0"] * cols)] * rows + lines[-1:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_repeat_u_h_block_of_nines, "duplicate parameter in model file: u_h"),
+    (lambda lines: [("scheme BOGUS" if l.startswith("scheme") else l) for l in lines],
+     "unknown scheme in model file: BOGUS"),
+], ids=["duplicate-param", "unknown-scheme"])
+def test_tag_malformed_model_exit_1(tmp_path, capsys, edit, message):
+    paths = write_corpus(tmp_path)
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
+    assert main(["train", "--config", str(config_path)]) == 0
+    lines = open(cfg["model_path"], encoding="utf-8").read().splitlines()
+    broken = tmp_path / "broken.model"
+    broken.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    assert main(["tag", "--model", str(broken), "--embeddings", str(paths["emb"]),
+                 "--input", str(paths["test"]), "--output", str(tmp_path / "out.conll")]) == 1
+    assert "error: %s" % message in capsys.readouterr().err
+
+
 def test_eval_identical_files(tmp_path, capsys):
     gold = tmp_path / "gold.conll"
     gold.write_text("a S-X\nb O\n\n")

@@ -84,6 +84,39 @@ def test_conll_round_trip():
     assert [s.labels for s in back] == [s.labels for s in seqs]
 
 
+_CONLL_WORDS = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6).filter(
+    lambda w: not w.startswith("-DOCSTART-"))
+
+
+@st.composite
+def conll_documents(draw):
+    """Sentences, labeled or not, and the text `write_conll` makes of them
+    with CRLF or LF line ends, -DOCSTART- lines and runs of blank lines
+    between sentences."""
+    seqs = []
+    for _ in range(draw(st.integers(0, 5))):
+        tokens = draw(st.lists(_CONLL_WORDS, min_size=1, max_size=5))
+        labels = draw(st.none() | st.lists(_CONLL_WORDS, min_size=len(tokens),
+                                           max_size=len(tokens)))
+        seqs.append(TokenSequence(tokens=tokens, labels=labels))
+    buf = io.StringIO()
+    write_conll(seqs, buf)
+    blocks = buf.getvalue().split("\n\n")
+    gaps = ["\n" * draw(st.integers(1, 3))
+            + draw(st.sampled_from(["", "-DOCSTART- -X- O\n\n", "-DOCSTART-\n"]))
+            for _ in blocks]
+    text = "".join("\n" + gap + block for gap, block in zip(gaps, blocks))
+    return seqs, text.replace("\n", draw(st.sampled_from(["\n", "\r\n"])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(conll_documents())
+def test_conll_write_read_round_trip(doc):
+    seqs, text = doc
+    back = read_conll(io.StringIO(text))
+    assert [(s.tokens, s.labels) for s in back] == [(s.tokens, s.labels) for s in seqs]
+
+
 def test_token_sequence_validation():
     with pytest.raises(ValueError):
         TokenSequence(tokens=[])
@@ -312,6 +345,15 @@ def test_repeated_token_keeps_first_position_and_last_values():
         load_embeddings(io.StringIO("a 1.0 1.0\nb 3.0 4.0\na inf 6.0\n"))
 
 
+def test_mean_overflow_rejected():
+    # every value is finite, but the column sums overflow float64
+    text = "a 1.7e308 1.0\nb 1.7e308 2.0\nc -1.0 3.0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="unknown tokens overflows in dimension 0"):
+            load_embeddings(io.StringIO(text))
+
+
 def test_undecodable_file_raises_decode_error(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"a 1.0 2.0\nb\xe9 3.0 4.0\n")
@@ -320,7 +362,8 @@ def test_undecodable_file_raises_decode_error(tmp_path):
 
 
 def _reference_load_embeddings(source, expected_dim=None):
-    """The per-value float() loader that `load_embeddings` replaced."""
+    """The per-value float() loader that `load_embeddings` replaced, with
+    its rule for a mean vector that overflows."""
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
@@ -361,7 +404,13 @@ def _reference_load_embeddings(source, expected_dim=None):
         token = list(vectors)[int(np.argmin(finite))]
         lineno = max(k for k in range(start, len(lines)) if lines[k].split()[:1] == [token])
         raise ValueError("line %d: non-finite embedding value" % (lineno + 1))
-    return EmbeddingTable(dim=int(dim), vectors=vectors, unk=np.mean(stacked, axis=0))
+    # finite values near the float64 maximum can still overflow their mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        unk = np.mean(stacked, axis=0)
+    if not np.isfinite(unk).all():
+        raise ValueError("embedding values too large: the mean vector used for unknown "
+                         "tokens overflows in dimension %d" % int(np.argmin(np.isfinite(unk))))
+    return EmbeddingTable(dim=int(dim), vectors=vectors, unk=unk)
 
 
 _FORMATS = [repr, "%.6f".__mod__, "%e".__mod__, "%E".__mod__, "%.3g".__mod__,
@@ -413,8 +462,7 @@ def embedding_texts(draw):
 
 
 def _load_outcome(loader, source):
-    # values near the float64 maximum may overflow the mean to inf on both sides
-    with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             table = loader(source)
@@ -451,9 +499,13 @@ def test_embeddings_write_load_round_trip_bit_exact(values, tokens):
                            vectors=dict(zip(tokens, values)))
     buf = io.StringIO()
     write_embeddings(table, buf)
-    with np.errstate(over="ignore"):
-        back = load_embeddings(io.StringIO(buf.getvalue()))
+    with np.errstate(over="ignore", invalid="ignore"):
         unk = np.mean(values, axis=0)
+    if not np.isfinite(unk).all():
+        with pytest.raises(ValueError, match="mean vector used for unknown tokens overflows"):
+            load_embeddings(io.StringIO(buf.getvalue()))
+        return
+    back = load_embeddings(io.StringIO(buf.getvalue()))
     assert list(back.vectors) == list(table.vectors)
     for token, vec in table.vectors.items():
         assert back.vectors[token].tobytes() == vec.tobytes()
@@ -585,3 +637,72 @@ def test_model_bare_param_line_rejected():
     lines[k] = "param"
     with pytest.raises(ValueError, match="malformed model file at line %d" % (k + 1)):
         load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_model_duplicate_param_block_rejected():
+    # a second w_h block used to replace the first silently
+    lines = _model_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if l.startswith("param w_h"))
+    block = ["param w_h 4 3"] + [" ".join(["9.0"] * 3)] * 4
+    text = "\n".join(lines[:-1] + block + lines[-1:]) + "\n"
+    assert lines[k] == block[0]
+    with pytest.raises(ValueError, match="duplicate parameter in model file: w_h"):
+        load_model(io.StringIO(text))
+
+
+def test_model_unknown_scheme_rejected():
+    text = _model_text().replace("scheme PLAIN", "scheme BOGUS")
+    with pytest.raises(ValueError, match="unknown scheme in model file: BOGUS"):
+        load_model(io.StringIO(text))
+
+
+def test_save_model_rejects_unknown_scheme():
+    params = init_params(Family.VANILLA_CRF, 3, 4, seed=5)
+    with pytest.raises(ValueError, match="unknown scheme: bioes"):
+        save_model(params, _vocab(3, scheme="bioes"), io.StringIO())
+
+
+def _load_model_error(text):
+    """The exception `load_model` raises on `text`; fails if it loads."""
+    with pytest.raises(Exception) as info:
+        load_model(io.StringIO(text))
+    return info.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(list(Family)), data=st.data())
+def test_malformed_model_file_raises_value_error(family, data):
+    """Truncated blocks, wrong value counts, non-numeric values and bad
+    header lines all raise a plain ValueError (never an IndexError, a
+    numpy error or a decode error)."""
+    params = init_params(family, 3, 4, seed=5, d_t=3, d_r=2, mlp_hidden=4)
+    buf = io.StringIO()
+    save_model(params, _vocab(3), buf)
+    lines = buf.getvalue().splitlines()
+    first_param = next(i for i, l in enumerate(lines) if l.startswith("param"))
+    values = [i for i in range(first_param, len(lines) - 1) if not lines[i].startswith("param")]
+    fault = data.draw(st.sampled_from(["truncate", "drop", "extra", "non-numeric", "header"]))
+    if fault == "truncate":
+        # cut anywhere before the closing "end" line, mid-line included
+        text = "\n".join(lines)
+        text = text[: data.draw(st.integers(0, len(text) - len("end") - 1))]
+    else:
+        k = data.draw(st.sampled_from(values))
+        cells = lines[k].split()
+        if fault == "drop":
+            cells.pop(data.draw(st.integers(0, len(cells) - 1)))
+        elif fault == "extra":
+            cells.append("0.5")
+        elif fault == "non-numeric":
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
+                st.sampled_from(["x", "1.0.0", "--1", "1e", "0x1p3", "1,5", ""]))
+        else:
+            k = data.draw(st.integers(0, 7))
+            key = lines[k].split()[0]
+            cells = [key, data.draw(st.sampled_from(["x", "-1", "1.5", "", "2 3"]))]
+            if k == 0:
+                cells = data.draw(st.sampled_from([["chaincrf"], ["chaincrf-model", "x"],
+                                                   ["chaincrf-model", "1", "2"], ["model", "1"]]))
+        lines[k] = " ".join(cells)
+        text = "\n".join(lines) + "\n"
+    assert type(_load_model_error(text)) is ValueError

@@ -455,3 +455,113 @@ def test_stacked_path_matches_per_sequence_reference(family):
     got = backprop_lattices(p, reps_list, grads)
     for name, arr in want.items():
         np.testing.assert_allclose(got.arrays[name], arr, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# concat-MLP: one pass per distinct word input
+# ---------------------------------------------------------------------------
+
+def _tiny_vocabulary(seed):
+    """Three random word vectors plus two that differ from the first only
+    in the sign of a zero coordinate (0.0 against -0.0)."""
+    words = make_rng(seed).standard_normal((5, SMALL["d_h"]))
+    words[3] = words[0]
+    words[3, 0] = 0.0
+    words[4] = words[3]
+    words[4, 0] = -0.0
+    return words
+
+
+def _word_inputs(p, reps_list):
+    """MLP word input of every stacked position, as (bytes, is_first)."""
+    out = []
+    for reps in reps_list:
+        h = reps.h
+        prev = np.vstack([np.zeros((1, h.shape[1])), h[:-1]])
+        X = np.hstack([prev, h]) if p.family is Family.CONCAT_MLP_2W2L else h
+        out.extend((row.tobytes(), m == 0) for m, row in enumerate(X))
+    return out
+
+
+def check_mlp_batch_against_reference(p, reps_list, grads):
+    """Lattices and gradients match the per-sequence reference within
+    1e-12, and positions with byte-equal word input get bit-identical
+    lattice rows."""
+    L = p.num_labels
+    lats = score_lattices(p, reps_list)
+    want = {name: np.zeros_like(arr) for name, arr in p.param_items()}
+    for reps, lat, lg in zip(reps_list, lats, grads):
+        ext, g = reference_ext_and_grads(p, reps.h, lg)
+        np.testing.assert_allclose(lat[0], np.broadcast_to(ext[0, L], (L, L)),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lat[1:], ext[1:, :L], rtol=1e-12, atol=1e-12)
+        for name, arr in g.items():
+            want[name] += arr
+    got = backprop_lattices(p, reps_list, grads)
+    for name, arr in want.items():
+        np.testing.assert_allclose(got.arrays[name], arr, rtol=1e-12, atol=1e-12, err_msg=name)
+    seen = {}
+    for key, row in zip(_word_inputs(p, reps_list), np.concatenate(lats)):
+        assert row.tobytes() == seen.setdefault(key, row).tobytes()
+
+
+def _mlp_batch(family, sentences, seed=0):
+    """Params, reps and random lattice gradients for sentences given as
+    lists of indices into `_tiny_vocabulary`."""
+    words = _tiny_vocabulary(seed)
+    p = small_params(family, seed=seed)
+    reps_list = [RepresentationSequence.from_array(words[s]) for s in sentences]
+    rng = make_rng(seed + 1)
+    L = SMALL["num_labels"]
+    return p, reps_list, [rng.standard_normal((len(s), L, L)) for s in sentences]
+
+
+MLP_BATCHES = {
+    "repeated-words": [[0, 1, 0, 0], [1, 0]],
+    "repeated-bigrams": [[0, 1, 2, 0, 1, 2], [2, 0, 1]],
+    "repeated-first-words": [[2, 0], [2, 1, 1], [2], [0, 2]],
+    "identical-sentences": [[0, 2, 1], [0, 2, 1], [0, 2, 1]],
+    "all-distinct": [[0, 1], [2, 3, 4]],
+    "signed-zeros": [[3, 4, 3], [4, 3], [3], [4]],
+}
+
+
+@pytest.mark.parametrize("case", list(MLP_BATCHES))
+@pytest.mark.parametrize("family", MLP, ids=lambda f: f.value)
+def test_mlp_distinct_inputs_match_reference(family, case):
+    check_mlp_batch_against_reference(*_mlp_batch(family, MLP_BATCHES[case], seed=5))
+
+
+def test_mlp_words_keep_signed_zeros_apart():
+    p = small_params(Family.CONCAT_MLP_1W2L)
+    x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [2.0, 1.0]])
+    X, inverse = potentials._mlp_words(p, x, [(0, 4)])
+    assert X[inverse].tobytes() == x.tobytes()
+    assert len(X) == 3
+    assert inverse[0] == inverse[2] != inverse[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(MLP),
+       sentences=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=6),
+                          min_size=1, max_size=6),
+       copies=st.integers(1, 3), seed=st.integers(0, 999))
+def test_mlp_batches_from_tiny_vocabulary_match_reference(family, sentences, copies, seed):
+    check_mlp_batch_against_reference(*_mlp_batch(family, sentences * copies, seed=seed))
+
+
+@pytest.mark.parametrize("family", MLP, ids=lambda f: f.value)
+def test_nll_gradient_batch_with_repeated_word(family):
+    p, reps_list, _ = _mlp_batch(family, [[0, 1, 0, 0], [1, 0, 1]], seed=9)
+    golds = [[1, 2, 2, 0], [3, 1, 1]]
+
+    def loss(q):
+        return sum(nll_and_grad(lat, gold)[0]
+                   for lat, gold in zip(score_lattices(q, reps_list), golds))
+
+    lat_grads = [nll_and_grad(lat, gold)[1]
+                 for lat, gold in zip(score_lattices(p, reps_list), golds)]
+    analytic = backprop_lattices(p, reps_list, lat_grads)
+    numeric = finite_diff_grad(loss, p, step=1e-5)
+    for name, num in numeric.arrays.items():
+        assert max_relative_error(analytic.arrays[name], num) < 1e-4, name
