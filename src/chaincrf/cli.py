@@ -293,7 +293,7 @@ def cmd_gradcheck(args) -> int:
 
 def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
               batch=32, reps=10, seed=0, warmup=2):
-    """Mean wall time of one training step and of one per-sequence decode.
+    """Mean wall time of one training step and of one batch decode.
 
     Both run the path `train` and `tag` run.  A training step scores a
     batch, computes its NLL gradients with `nll_and_grad_batch`, pulls

@@ -19,20 +19,18 @@ positions degrade to the next-lower-order potential instead of vanishing.
 The concat-MLP-2w2l family instead concatenates an all-zero vector for the
 word before the sentence.
 
-Batches.  The trilinear, decomposed and concat-MLP families
-(`STACKED_FAMILIES`) score and pull back a whole batch in one pass: the
-sequences are stacked along the position axis, neighbor words are shifted
-within each sequence only, and each sequence's first position gets its
-BOS-conditioned row separately.  The concat-MLP pre-activation splits into
-a word part and a label part (computed once per call).  The word part
+Batches.  Every family scores and pulls back a whole batch in one pass:
+the sequences are stacked along the position axis, neighbor words are
+shifted within each sequence only, and each sequence's first position gets
+its BOS-conditioned row separately.  The concat-MLP pre-activation splits
+into a word part and a label part (computed once per call).  The word part
 depends only on the position's word input (`h`, or `[h_prev, h]` for
 2w2l), so it is computed once per distinct input row of the batch (rows
 are equal when their bytes are): scoring gathers the distinct rows' scores
 into every position, and the pullback first sums the lattice-gradient rows
 of each distinct input.  The (rows, L, L, hidden) tanh activations are
 formed in blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole
-batch, and the pullback recomputes them block by block.  The other
-families score one sequence at a time.
+batch, and the pullback recomputes them block by block.
 """
 
 from __future__ import annotations
@@ -76,11 +74,7 @@ EMBEDDING_FAMILIES = frozenset(
 
 MLP_FAMILIES = frozenset((Family.CONCAT_MLP_1W2L, Family.CONCAT_MLP_2W2L))
 
-# Families scored and pulled back once per batch, with the sequences
-# stacked along the position axis.
-STACKED_FAMILIES = MLP_FAMILIES | {
-    Family.TRILINEAR, Family.D_TRILINEAR, Family.D_QUADRILINEAR, Family.D_PENTALINEAR,
-}
+BILINEAR_FAMILIES = (Family.TWO_BILINEAR, Family.THREE_BILINEAR)
 
 # Upper bound on the (positions, labels, hidden) activation block of the
 # concat-MLP families: 2^18 float64 cells (2 MB) stay in cache, and the
@@ -302,6 +296,12 @@ def init_params(family, num_labels, d_h, seed, d_t=0, d_r=0, mlp_hidden=128) -> 
     Representation vectors are assumed to be of roughly unit norm.
     """
     family = Family(family)
+    used = (("d_t", d_t, family in EMBEDDING_FAMILIES),
+            ("d_r", d_r, family in _FACTOR_COUNT),
+            ("mlp_hidden", mlp_hidden, family in MLP_FAMILIES))
+    for name, size, needed in used:
+        if needed and size < 1:
+            raise ValueError("%s must be positive for %s, got %d" % (name, family.value, size))
     if family in (Family.SOFTMAX, Family.VANILLA_CRF):
         d_t = 0
         d_r = 0
@@ -362,8 +362,13 @@ def _precompute(params: ModelParams) -> dict:
         T_cur = T_ext[: params.num_labels]         # BOS is never a current label
         pre["T_ext"] = T_ext
         pre["T_cur"] = T_cur
-    if f in (Family.TWO_BILINEAR, Family.THREE_BILINEAR):
-        pre["trans_ext"] = pre["T_ext"] @ params.w_t @ pre["T_cur"].T
+    if f is Family.SOFTMAX:
+        # softmax scores are vanilla-crf scores without transitions
+        pre["table"] = np.zeros((params.num_labels + 1, params.num_labels))
+    elif f is Family.VANILLA_CRF:
+        pre["table"] = params.transition_table
+    elif f in BILINEAR_FAMILIES:
+        pre["table"] = pre["T_ext"] @ params.w_t @ pre["T_cur"].T
     elif f is Family.TRILINEAR:
         # Fold the label embeddings into the tensor:
         # folded[p, a, b] = T_ext[a] . u_dense[p] . T_cur[b], split like
@@ -387,10 +392,6 @@ def _precompute(params: ModelParams) -> dict:
         if f is Family.D_TRILINEAR:
             pre["A_cur"] = params.u_h @ pre["G12_cur"].T   # (d_h, L*L)
             pre["A_bos"] = params.u_h @ pre["G12_bos"].T   # (d_h, L)
-        elif f is Family.D_QUADRILINEAR:
-            pre["u_words"] = (params.u_h1, params.u_h2)
-        else:
-            pre["u_words"] = (params.u_h1, params.u_h2, params.u_h3)
     elif f in MLP_FAMILIES:
         L, d_t = params.num_labels, params.d_t
         w1 = params.mlp_w1
@@ -407,30 +408,44 @@ def _precompute(params: ModelParams) -> dict:
     return pre
 
 
-def _stacked_spans(reps_list):
+def _stack(reps_list):
+    """The representations of a batch stacked along the position axis,
+    and the (start, end) rows of each sequence in the stack."""
+    h_all = np.vstack([reps.h for reps in reps_list])
     spans = []
     start = 0
     for reps in reps_list:
         spans.append((start, start + reps.length))
         start += reps.length
-    return spans
+    if not np.isfinite(h_all).all():
+        row = int(np.argmin(np.isfinite(h_all).all(axis=1)))
+        k = next(k for k, (s, e) in enumerate(spans) if row < e)
+        raise ValueError("non-finite representation in sequence %d of the batch" % k)
+    return h_all, spans
 
 
-def _neighbor_rows(x, spans, prev):
+def _neighbor_rows(x, spans, prev, times=None):
     """Rows of `x` shifted one position within each span: row m holds the
     previous (or next) row of its own sequence, zeros where that neighbor
-    is out of range."""
-    out = np.zeros_like(x)
+    is out of range.  Given `times`, multiplies that array in place by the
+    shifted rows instead and returns it; its rows without a neighbor keep
+    their value, as if the missing neighbor were a ones factor."""
+    out = np.zeros_like(x) if times is None else times
     for s, e in spans:
         if prev:
-            out[s + 1: e] = x[s: e - 1]
+            rows, nbr = slice(s + 1, e), slice(s, e - 1)
         else:
-            out[s: e - 1] = x[s + 1: e]
+            rows, nbr = slice(s, e - 1), slice(s + 1, e)
+        if times is None:
+            out[rows] = x[nbr]
+        else:
+            np.multiply(x[nbr], out[rows], out=out[rows])
     return out
 
 
-def _stacked_word_factors(params, pre, h_all, spans):
-    """Word-factor vectors for sequences stacked along the position axis.
+def _word_factors(params, h_all, spans):
+    """Word-factor vectors of a decomposed family for the stacked
+    positions.
 
     Previous/next-word factors never leak across sequences; out-of-range
     neighbors produce a ones row so boundary positions keep a
@@ -438,20 +453,15 @@ def _stacked_word_factors(params, pre, h_all, spans):
     """
     f = params.family
     if f is Family.D_TRILINEAR:
-        return (h_all @ params.u_h,)
-    d_r = params.d_r
-    P1 = h_all @ pre["u_words"][0]
-    G4 = h_all @ pre["u_words"][1]
-    G3 = np.ones((h_all.shape[0], d_r))
-    for s, e in spans:
-        G3[s + 1: e] = P1[s: e - 1]
-    if f is Family.D_QUADRILINEAR:
-        return G3, G4
-    P3 = h_all @ pre["u_words"][2]
-    G5 = np.ones((h_all.shape[0], d_r))
-    for s, e in spans:
-        G5[s: e - 1] = P3[s + 1: e]
-    return G3, G4, G5
+        factors = (h_all @ params.u_h,)
+    else:
+        ones = np.ones((h_all.shape[0], params.d_r))
+        factors = (_neighbor_rows(h_all @ params.u_h1, spans, prev=True, times=ones),
+                   h_all @ params.u_h2)
+        if f is Family.D_PENTALINEAR:
+            factors += (_neighbor_rows(h_all @ params.u_h3, spans, prev=False,
+                                       times=np.ones_like(ones)),)
+    return factors
 
 
 def _mlp_words(params, h_all, spans):
@@ -524,34 +534,36 @@ def _mlp_pullback(Zw, Zl, w2, grad):
     return g_w2, S_w, S_l
 
 
-def _scores_ext(params, pre, reps) -> np.ndarray:
-    """Scores as an (M, L+1, L) table; row L is the BOS previous label."""
-    f = params.family
-    H = reps.h
-    if f is Family.VANILLA_CRF:
-        e = H @ params.w_h
-        return params.transition_table[None, :, :] + e[:, None, :]
-    if f in (Family.TWO_BILINEAR, Family.THREE_BILINEAR):
-        w_cur = params.w_h if f is Family.TWO_BILINEAR else params.w_h1
-        ext = pre["trans_ext"][None, :, :] + ((H @ w_cur) @ pre["T_cur"].T)[:, None, :]
-        if f is Family.THREE_BILINEAR:
-            ext = ext + ((H @ params.w_h2) @ pre["T_ext"].T)[:, :, None]
-        return ext
-    raise AssertionError("unhandled family %r" % f)
+def _check_reps(params, reps):
+    if reps.d_h != params.d_h:
+        raise ValueError(
+            "dimension mismatch: representations have d_h=%d, model wants %d"
+            % (reps.d_h, params.d_h)
+        )
 
 
-def _lattices_stacked(params, pre, reps_list):
-    """Direct lattices for the stacked families.
+def score_lattices(params: ModelParams, reps_list) -> list:
+    """Score lattices for a batch of sequences against one model.
 
-    All sequences are concatenated along the position axis so the heavy
-    contraction runs once over the batch (one GEMM, or one blocked pass
-    for the MLP); each returned lattice is a view into the shared buffer.
-    Position 0 of every sequence is overwritten with its BOS-conditioned
-    row broadcast."""
+    Sequence-independent work (label-side factor products, folded
+    tensors, label pre-activations) is done once per call, which is what
+    makes decoding with the decomposed families nearly as cheap as with
+    the vanilla CRF.  All sequences are concatenated along the position
+    axis so the heavy contraction runs once over the batch (one GEMM per
+    word term, or one blocked pass for the MLP); each returned lattice is
+    a view into one shared buffer.  Position 0 of every sequence is
+    overwritten with its BOS-conditioned row broadcast.  Raises
+    ValueError naming the sequence if a representation is not finite.
+    """
+    params.validate()
+    for reps in reps_list:
+        _check_reps(params, reps)
+    if not reps_list:
+        return []
+    pre = _precompute(params)
+    h_all, spans = _stack(reps_list)
     L = params.num_labels
     f = params.family
-    h_all = np.vstack([reps.h for reps in reps_list])
-    spans = _stacked_spans(reps_list)
     starts = [s for s, _ in spans]
     flat = np.empty((h_all.shape[0], L, L))
     if f in (Family.D_TRILINEAR, Family.TRILINEAR):
@@ -567,61 +579,27 @@ def _lattices_stacked(params, pre, reps_list):
         bos_rows, bos_inverse = np.unique(inverse[starts], return_inverse=True)
         bos = _mlp_scores(Zw[bos_rows], pre["Z_bos"], w2, np.empty((len(bos_rows), L)))
         bos = bos[bos_inverse]
-    else:
-        # shifted in-place multiply; boundary rows keep the ones factor
-        P1 = h_all @ pre["u_words"][0]
-        W = h_all @ pre["u_words"][1]
-        for s, e in spans:
-            np.multiply(P1[s: e - 1], W[s + 1: e], out=W[s + 1: e])
+    elif f in (Family.D_QUADRILINEAR, Family.D_PENTALINEAR):
+        # the word-factor product, multiplied in place: no factor copies
+        W = _neighbor_rows(h_all @ params.u_h1, spans, prev=True, times=h_all @ params.u_h2)
         if f is Family.D_PENTALINEAR:
-            P3 = h_all @ pre["u_words"][2]
-            for s, e in spans:
-                np.multiply(W[s: e - 1], P3[s + 1: e], out=W[s: e - 1])
+            _neighbor_rows(h_all @ params.u_h3, spans, prev=False, times=W)
         np.matmul(W, pre["G12_cur"].T, out=flat.reshape(-1, L * L))
         bos = W[starts] @ pre["G12_bos"].T
+    else:
+        # table[a, b] + col[m, b], plus row[m, a] for three-bilinear
+        col = h_all @ (params.w_h1 if f is Family.THREE_BILINEAR else params.w_h)
+        if f in BILINEAR_FAMILIES:
+            col = col @ pre["T_cur"].T
+        np.add(pre["table"][:L], col[:, None, :], out=flat)
+        bos = pre["table"][L] + col[starts]
+        if f is Family.THREE_BILINEAR:
+            row = (h_all @ params.w_h2) @ pre["T_ext"].T
+            flat += row[:, :L, None]
+            bos += row[starts, L][:, None]
     for k, (s, e) in enumerate(spans):
         flat[s] = bos[k]
     return [flat[s:e] for s, e in spans]
-
-
-def _check_reps(params, reps):
-    if reps.d_h != params.d_h:
-        raise ValueError(
-            "dimension mismatch: representations have d_h=%d, model wants %d"
-            % (reps.d_h, params.d_h)
-        )
-
-
-def score_lattices(params: ModelParams, reps_list) -> list:
-    """Score lattices for a batch of sequences against one model.
-
-    Sequence-independent work (label-side factor products, folded
-    tensors, label pre-activations) is done once per call, which is what
-    makes decoding with the decomposed families nearly as cheap as with
-    the vanilla CRF.
-    """
-    params.validate()
-    pre = _precompute(params)
-    L = params.num_labels
-    for reps in reps_list:
-        _check_reps(params, reps)
-    if not reps_list:
-        return []
-    if params.family in STACKED_FAMILIES:
-        return _lattices_stacked(params, pre, reps_list)
-    out = []
-    for reps in reps_list:
-        if params.family is Family.SOFTMAX:
-            logits = reps.h @ params.w_h
-            lat = np.empty((reps.length, L, L))
-            lat[:] = logits[:, None, :]
-        else:
-            ext = _scores_ext(params, pre, reps)
-            lat = np.empty((reps.length, L, L))
-            lat[0] = ext[0, L]
-            lat[1:] = ext[1:, :L, :]
-        out.append(lat)
-    return out
 
 
 def score_lattice(params: ModelParams, reps: RepresentationSequence) -> np.ndarray:
@@ -633,55 +611,30 @@ def score_lattice(params: ModelParams, reps: RepresentationSequence) -> np.ndarr
 # Analytic gradients
 # ---------------------------------------------------------------------------
 
-def _grad_ext(lat_grad: np.ndarray, L: int) -> np.ndarray:
-    """Lift an (M, L, L) lattice gradient onto the (M, L+1, L) ext table.
-
-    All rows of lattice position 0 alias the BOS row of the ext table, so
-    their gradients sum into ext row L.
-    """
-    M = lat_grad.shape[0]
-    g = np.zeros((M, L + 1, L))
-    g[0, L] = lat_grad[0].sum(axis=0)
-    g[1:, :L] = lat_grad[1:]
-    return g
-
-
-def _accumulate_family(params, pre, reps, lat_grad, out):
-    f = params.family
+def _accumulate_additive(params, pre, h_all, spans, gext, out):
+    """Pullback of score[m, a, b] = table[a, b] + col[m, b] (+ row[m, a])
+    for softmax, vanilla-crf and the bilinear families."""
     L = params.num_labels
-    H = reps.h
+    f = params.family
     g = out.arrays
-
-    if f is Family.SOFTMAX:
-        # every row of every position carries the same logit
-        g["w_h"] += H.T @ lat_grad.sum(axis=1)
+    gcol = gext.sum(axis=1)               # (N, L)
+    if f in (Family.SOFTMAX, Family.VANILLA_CRF):
+        g["w_h"] += h_all.T @ gcol
+        if f is Family.VANILLA_CRF:
+            g["transition_table"] += gext.sum(axis=0)
         return
-
-    gext = _grad_ext(lat_grad, L)
-    if f is Family.VANILLA_CRF:
-        g["transition_table"] += gext.sum(axis=0)
-        g["w_h"] += H.T @ gext.sum(axis=1)
-        return
-
     T_ext, T_cur = pre["T_ext"], pre["T_cur"]
-    if f in (Family.TWO_BILINEAR, Family.THREE_BILINEAR):
-        total = gext.sum(axis=0)          # (L+1, L)
-        gcol = gext.sum(axis=1)           # (M, L)
-        g["w_t"] += T_ext.T @ total @ T_cur
-        g["label_embeddings"] += total @ (T_cur @ params.w_t.T)
-        g["label_embeddings"][:L] += total.T @ (T_ext @ params.w_t)
-        if f is Family.TWO_BILINEAR:
-            g["w_h"] += H.T @ (gcol @ T_cur)
-            g["label_embeddings"][:L] += (gcol.T @ H) @ params.w_h
-        else:
-            grow = gext.sum(axis=2)       # (M, L+1)
-            g["w_h1"] += H.T @ (gcol @ T_cur)
-            g["w_h2"] += H.T @ (grow @ T_ext)
-            g["label_embeddings"][:L] += (gcol.T @ H) @ params.w_h1
-            g["label_embeddings"] += (grow.T @ H) @ params.w_h2
-        return
-
-    raise AssertionError("unhandled family %r" % f)
+    total = gext.sum(axis=0)              # (L+1, L)
+    g["w_t"] += T_ext.T @ total @ T_cur
+    g["label_embeddings"] += total @ (T_cur @ params.w_t.T)
+    g["label_embeddings"][:L] += total.T @ (T_ext @ params.w_t)
+    cur = "w_h" if f is Family.TWO_BILINEAR else "w_h1"
+    g[cur] += h_all.T @ (gcol @ T_cur)
+    g["label_embeddings"][:L] += (gcol.T @ h_all) @ getattr(params, cur)
+    if f is Family.THREE_BILINEAR:
+        grow = gext.sum(axis=2)           # (N, L+1)
+        g["w_h2"] += h_all.T @ (grow @ T_ext)
+        g["label_embeddings"] += (grow.T @ h_all) @ params.w_h2
 
 
 def _accumulate_decomposed(params, pre, h_all, spans, gext, out):
@@ -696,7 +649,7 @@ def _accumulate_decomposed(params, pre, h_all, spans, gext, out):
     f = params.family
     g = out.arrays
     total = h_all.shape[0]
-    factors = _stacked_word_factors(params, pre, h_all, spans)
+    factors = _word_factors(params, h_all, spans)
     W = factors[0]
     for extra in factors[1:]:
         W = W * extra
@@ -785,39 +738,21 @@ def _accumulate_mlp(params, pre, h_all, spans, gext, out):
     g["label_embeddings"][:L] += Sb @ pre["w1_cur_label"]
 
 
-def _accumulate_stacked(params, pre, reps_list, lat_grads, out):
-    """Batched pullback for the stacked families: sequences are stacked
-    along the position axis and their lattice gradients lifted into one
-    (N, L+1, L) ext gradient, whose row L at each sequence's first
-    position collects the BOS-conditioned scores' gradient."""
-    L = params.num_labels
-    h_all = np.vstack([r.h for r in reps_list])
-    spans = _stacked_spans(reps_list)
-    gext = np.zeros((h_all.shape[0], L + 1, L))
-    for (s, e), lg in zip(spans, lat_grads):
-        gext[s, L] = lg[0].sum(axis=0)
-        gext[s + 1: e, :L] = lg[1:]
-    if params.family is Family.TRILINEAR:
-        accumulate = _accumulate_trilinear
-    elif params.family in MLP_FAMILIES:
-        accumulate = _accumulate_mlp
-    else:
-        accumulate = _accumulate_decomposed
-    accumulate(params, pre, h_all, spans, gext, out)
-
-
 def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
     """Sum of lattice-gradient pullbacks over a batch of sequences.
 
     For every populated parameter field this returns
     sum_i sum_{m,a,b} lat_grads[i][m,a,b] * d(scores_i[m,a,b]) / d(theta),
-    evaluated in closed form.  The reduction over sequences is
-    deterministic (stacked, position order) so results are reproducible.
+    evaluated in closed form.  The sequences are stacked along the
+    position axis as in `score_lattices` and their lattice gradients
+    lifted into one (N, L+1, L) ext gradient, whose row L at each
+    sequence's first position collects the BOS-conditioned scores'
+    gradient.  The reduction over sequences is deterministic (stacked,
+    position order) so results are reproducible.
     """
     params.validate()
     if len(reps_list) != len(lat_grads):
         raise ValueError("got %d sequences but %d gradients" % (len(reps_list), len(lat_grads)))
-    pre = _precompute(params)
     out = ParamGrad.zeros(params)
     L = params.num_labels
     for reps, lg in zip(reps_list, lat_grads):
@@ -829,11 +764,21 @@ def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
             )
     if not reps_list:
         return out
-    if params.family in STACKED_FAMILIES:
-        _accumulate_stacked(params, pre, reps_list, lat_grads, out)
-        return out
-    for reps, lg in zip(reps_list, lat_grads):
-        _accumulate_family(params, pre, reps, lg, out)
+    pre = _precompute(params)
+    h_all, spans = _stack(reps_list)
+    gext = np.zeros((h_all.shape[0], L + 1, L))
+    for (s, e), lg in zip(spans, lat_grads):
+        gext[s, L] = lg[0].sum(axis=0)
+        gext[s + 1: e, :L] = lg[1:]
+    if params.family is Family.TRILINEAR:
+        accumulate = _accumulate_trilinear
+    elif params.family in MLP_FAMILIES:
+        accumulate = _accumulate_mlp
+    elif params.family in _FACTOR_COUNT:
+        accumulate = _accumulate_decomposed
+    else:
+        accumulate = _accumulate_additive
+    accumulate(params, pre, h_all, spans, gext, out)
     return out
 
 

@@ -150,6 +150,17 @@ def test_train_missing_embeddings_key(tmp_path, capsys):
     assert "missing key: embeddings_path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family,size", [("two-bilinear", "d_t"), ("d-quadrilinear", "d_r"),
+                                         ("concat-mlp-1w2l", "mlp_hidden")])
+def test_train_zero_size_exit_1(tmp_path, capsys, family, size):
+    paths = write_corpus(tmp_path, n=10)
+    config_path, cfg = base_config(tmp_path, paths, family=family, max_epochs=1,
+                                   **{size: 0})
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert "%s must be positive for %s, got 0" % (size, family) in capsys.readouterr().err
+    assert not os.path.exists(cfg["model_path"])
+
+
 def test_train_flag_overrides_family(tmp_path):
     paths = write_corpus(tmp_path)
     config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
@@ -306,6 +317,13 @@ def test_gradcheck_single_family_passes(capsys):
 def test_gradcheck_softmax_passes(capsys):
     assert main(["gradcheck", "--family", "softmax"]) == 0
     capsys.readouterr()
+
+
+def test_gradcheck_all_families_passes(capsys):
+    assert main(["gradcheck", "--family", "all"]) == 0
+    out = capsys.readouterr().out
+    for family in Family:
+        assert "%s viterbi_path err=0.000e+00" % family.value in out
 
 
 def test_gradcheck_corrupted_gradient_exit_4(capsys):

@@ -21,11 +21,14 @@ from chaincrf import (
 )
 from chaincrf import potentials
 from chaincrf.cli import max_relative_error
-from chaincrf.potentials import MLP_FAMILIES, STACKED_FAMILIES, ParamGrad
+from chaincrf.potentials import EMBEDDING_FAMILIES, MLP_FAMILIES, ParamGrad
 
 from helpers import SMALL, random_reps, small_params, small_reps
 
 ALL_FAMILIES = list(Family)
+DECOMPOSED = [Family.D_TRILINEAR, Family.D_QUADRILINEAR, Family.D_PENTALINEAR]
+# families whose scores are a label table plus word-dependent row/column terms
+ADDITIVE = [Family.SOFTMAX, Family.VANILLA_CRF, Family.TWO_BILINEAR, Family.THREE_BILINEAR]
 
 
 def vanilla(num_labels, d_h, transition, w_h):
@@ -291,6 +294,27 @@ def test_param_grad_zeros_mirrors_fields():
         assert g.arrays[name].shape == arr.shape
 
 
+ZERO_SIZES = ([(f, "d_t") for f in Family if f in EMBEDDING_FAMILIES]
+              + [(f, "d_r") for f in DECOMPOSED]
+              + [(f, "mlp_hidden") for f in Family if f in MLP_FAMILIES])
+
+
+@pytest.mark.parametrize("family,size", ZERO_SIZES, ids=lambda v: getattr(v, "value", v))
+def test_init_params_rejects_zero_size(family, size):
+    sizes = dict(d_t=4, d_r=3, mlp_hidden=8)
+    sizes[size] = 0
+    with pytest.raises(ValueError, match="%s must be positive for %s, got 0"
+                       % (size, family.value)):
+        init_params(family, 4, 5, seed=0, **sizes)
+
+
+@pytest.mark.parametrize("family", [Family.SOFTMAX, Family.VANILLA_CRF], ids=lambda f: f.value)
+def test_init_params_label_free_families_ignore_zero_sizes(family):
+    p = init_params(family, 4, 5, seed=0, d_t=0, d_r=0, mlp_hidden=0)
+    p.validate()
+    assert (p.d_t, p.d_r, p.mlp_hidden) == (0, 0, 0)
+
+
 def test_init_params_deterministic():
     a = init_params(Family.D_QUADRILINEAR, 5, 7, seed=77, d_t=6, d_r=4)
     b = init_params(Family.D_QUADRILINEAR, 5, 7, seed=77, d_t=6, d_r=4)
@@ -302,11 +326,10 @@ def test_init_params_deterministic():
 # batched paths: ragged lengths, length-one sequences
 # ---------------------------------------------------------------------------
 
-STACKED = sorted(STACKED_FAMILIES, key=list(Family).index)
 MLP = sorted(MLP_FAMILIES, key=list(Family).index)
 
 
-@pytest.mark.parametrize("family", STACKED, ids=lambda f: f.value)
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
 def test_ragged_batch_scoring_matches_single_sequence(family):
     p = small_params(family, seed=3)
     reps_list = [random_reps(m, SMALL["d_h"], seed=10 + m) for m in (1, 3, 5, 2)]
@@ -315,7 +338,7 @@ def test_ragged_batch_scoring_matches_single_sequence(family):
         np.testing.assert_allclose(lat, score_lattice(p, reps), atol=1e-12)
 
 
-@pytest.mark.parametrize("family", STACKED, ids=lambda f: f.value)
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
 def test_ragged_batch_backprop_matches_sum_of_singles(family):
     p = small_params(family, seed=4)
     L = SMALL["num_labels"]
@@ -347,6 +370,40 @@ def test_nll_gradient_length_one_sequence(family):
         assert max_relative_error(analytic.arrays[name], num) < 1e-4, name
 
 
+@pytest.mark.parametrize("family", ADDITIVE, ids=lambda f: f.value)
+def test_nll_gradient_ragged_batch(family):
+    # each span starts with a BOS-conditioned row; the second sequence is
+    # that row alone
+    p = small_params(family, seed=31)
+    reps_list = [random_reps(4, SMALL["d_h"], seed=32), random_reps(1, SMALL["d_h"], seed=33)]
+    golds = [[1, 0, 3, 3], [2]]
+
+    def loss(q):
+        return sum(nll_and_grad(lat, gold)[0]
+                   for lat, gold in zip(score_lattices(q, reps_list), golds))
+
+    lat_grads = [nll_and_grad(lat, gold)[1]
+                 for lat, gold in zip(score_lattices(p, reps_list), golds)]
+    analytic = backprop_lattices(p, reps_list, lat_grads)
+    numeric = finite_diff_grad(loss, p, step=1e-5)
+    for name, num in numeric.arrays.items():
+        assert max_relative_error(analytic.arrays[name], num) < 1e-4, name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_representation_names_sequence(bad):
+    L = SMALL["num_labels"]
+    reps_list = [random_reps(m, SMALL["d_h"], seed=m) for m in (3, 2, 4)]
+    reps_list[2].h[1, 3] = bad
+    grads = [np.zeros((r.length, L, L)) for r in reps_list]
+    for family in ALL_FAMILIES:
+        p = small_params(family)
+        with pytest.raises(ValueError, match="non-finite representation in sequence 2"):
+            score_lattices(p, reps_list)
+        with pytest.raises(ValueError, match="non-finite representation in sequence 2"):
+            backprop_lattices(p, reps_list, grads)
+
+
 @pytest.mark.parametrize("family", MLP, ids=lambda f: f.value)
 def test_mlp_one_position_blocks_match_default(family):
     # a one-cell budget makes every position (and every BOS row) its own block
@@ -369,9 +426,9 @@ def test_mlp_one_position_blocks_match_default(family):
 
 @st.composite
 def stacked_batches(draw):
-    """A stacked family, a ragged batch of 1-8 sequences of length 1-7 and
-    one random lattice gradient per sequence."""
-    family = draw(st.sampled_from(STACKED))
+    """A family, a ragged batch of 1-8 sequences of length 1-7 and one
+    random lattice gradient per sequence."""
+    family = draw(st.sampled_from(ALL_FAMILIES))
     lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=8))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = make_rng(seed)
@@ -399,16 +456,65 @@ def test_stacked_batch_equals_sum_of_single_sequences(batch):
 
 
 def reference_ext_and_grads(p, h, lat_grad):
-    """Per-sequence reference for trilinear and concat-MLP: the (M, L+1, L)
-    ext score table, from explicit einsums and the full activation tensor,
-    and the pullback of `lat_grad` through it."""
+    """Per-sequence reference for every family: the (M, L+1, L) ext score
+    table, from explicit einsums (and the full activation tensor for the
+    concat-MLP families), and the pullback of `lat_grad` through it."""
     L, d_t = p.num_labels, p.d_t
-    T_ext = p.label_embeddings
-    T_cur = T_ext[:L]
-    gext = np.zeros((len(h), L + 1, L))
+    M = len(h)
+    gext = np.zeros((M, L + 1, L))
     gext[0, L] = lat_grad[0].sum(axis=0)
     gext[1:, :L] = lat_grad[1:]
     g = {}
+    if p.family in (Family.SOFTMAX, Family.VANILLA_CRF):
+        ext = np.repeat(np.einsum("mp,pb->mb", h, p.w_h)[:, None, :], L + 1, axis=1)
+        g["w_h"] = np.einsum("mp,mab->pb", h, gext)
+        if p.family is Family.VANILLA_CRF:
+            ext += p.transition_table
+            g["transition_table"] = np.einsum("mab->ab", gext)
+        return ext, g
+    T_ext = p.label_embeddings
+    T_cur = T_ext[:L]
+    if p.family in (Family.TWO_BILINEAR, Family.THREE_BILINEAR):
+        cur = "w_h" if p.family is Family.TWO_BILINEAR else "w_h1"
+        w_cur = getattr(p, cur)
+        ext = (np.einsum("aq,qr,br->ab", T_ext, p.w_t, T_cur)[None]
+               + np.einsum("mp,pr,br->mb", h, w_cur, T_cur)[:, None, :])
+        g["w_t"] = np.einsum("mab,aq,br->qr", gext, T_ext, T_cur)
+        g[cur] = np.einsum("mab,mp,br->pr", gext, h, T_cur)
+        g["label_embeddings"] = np.einsum("mab,qr,br->aq", gext, p.w_t, T_cur)
+        g["label_embeddings"][:L] += (np.einsum("mab,aq,qr->br", gext, T_ext, p.w_t)
+                                      + np.einsum("mab,mp,pr->br", gext, h, w_cur))
+        if p.family is Family.THREE_BILINEAR:
+            ext = ext + np.einsum("mp,pq,aq->ma", h, p.w_h2, T_ext)[:, :, None]
+            g["w_h2"] = np.einsum("mab,mp,aq->pq", gext, h, T_ext)
+            g["label_embeddings"] += np.einsum("mab,mp,pq->aq", gext, h, p.w_h2)
+        return ext, g
+    if p.family in DECOMPOSED:
+        # word inputs of each factor; an out-of-range neighbor reads a zero
+        # row here and its factor is pinned to ones
+        zero = np.zeros((1, p.d_h))
+        prev, nxt = np.vstack([zero, h[:-1]]), np.vstack([h[1:], zero])
+        words = {Family.D_TRILINEAR: [(h, "u_h", None)],
+                 Family.D_QUADRILINEAR: [(prev, "u_h1", 0), (h, "u_h2", None)],
+                 Family.D_PENTALINEAR: [(prev, "u_h1", 0), (h, "u_h2", None),
+                                        (nxt, "u_h3", M - 1)]}[p.family]
+        F = []
+        for X, name, boundary in words:
+            F.append(np.einsum("mp,pj->mj", X, getattr(p, name)))
+            if boundary is not None:
+                F[-1][boundary] = 1.0
+        W = np.prod(F, axis=0)
+        ext = np.einsum("aq,qj,br,rj,mj->mab", T_ext, p.u_t1, T_cur, p.u_t2, W)
+        g["u_t1"] = np.einsum("mab,aq,br,rj,mj->qj", gext, T_ext, T_cur, p.u_t2, W)
+        g["u_t2"] = np.einsum("mab,aq,qj,br,mj->rj", gext, T_ext, p.u_t1, T_cur, W)
+        g["label_embeddings"] = np.einsum("mab,qj,br,rj,mj->aq", gext, p.u_t1, T_cur, p.u_t2, W)
+        g["label_embeddings"][:L] += np.einsum("mab,aq,qj,rj,mj->br",
+                                               gext, T_ext, p.u_t1, p.u_t2, W)
+        base = np.einsum("mab,aq,qj,br,rj->mj", gext, T_ext, p.u_t1, T_cur, p.u_t2)
+        for k, (X, name, _) in enumerate(words):
+            others = np.prod([F[i] for i in range(len(F)) if i != k] + [np.ones_like(W)], axis=0)
+            g[name] = np.einsum("mp,mj,mj->pj", X, base, others)
+        return ext, g
     if p.family is Family.TRILINEAR:
         ext = np.einsum("mp,pqr,aq,br->mab", h, p.u_dense, T_ext, T_cur)
         MM = np.einsum("mp,pqr->mqr", h, p.u_dense)
@@ -437,7 +543,7 @@ def reference_ext_and_grads(p, h, lat_grad):
     return ext, g
 
 
-@pytest.mark.parametrize("family", [Family.TRILINEAR] + MLP, ids=lambda f: f.value)
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
 def test_stacked_path_matches_per_sequence_reference(family):
     p = small_params(family, seed=12)
     L = SMALL["num_labels"]

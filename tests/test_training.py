@@ -103,6 +103,13 @@ def test_train_rejects_empty_data():
         train(TrainConfig(family=Family.VANILLA_CRF), [], [], lambda s: None)
 
 
+def test_train_rejects_zero_d_r():
+    train_set, dev_set, _, table = tiny_corpus(n=6, seed=3)
+    config = TrainConfig(family=Family.D_TRILINEAR, d_t=4, d_r=0, max_epochs=1)
+    with pytest.raises(ValueError, match="d_r must be positive for d-trilinear, got 0"):
+        train(config, train_set, dev_set, table)
+
+
 def test_train_learns_tiny_first_order_task():
     train_set, dev_set, _, table = tiny_corpus(n=40, seed=1)
     config = TrainConfig(family=Family.D_TRILINEAR, d_t=8, d_r=6, max_epochs=25,
