@@ -147,17 +147,17 @@ def cmd_train(args) -> int:
     scheme = cfg.get("scheme", "bioes")
     if scheme not in ("bioes", "bio", "plain"):
         raise ConfigError("invalid value for scheme: %s" % scheme)
+    config_fields = {k: cfg[k] for k in cfg
+                     if k in TrainConfig.__dataclass_fields__ and k != "metric"}
+    if cfg.get("metric"):
+        config_fields["metric"] = cfg["metric"]
+    config = TrainConfig(**config_fields)   # bad values fail before any file is read
+
     train_set = _apply_scheme(read_conll(cfg["train_path"]), scheme)
     dev_set = (_apply_scheme(read_conll(cfg["dev_path"]), scheme)
                if cfg.get("dev_path") else [])
     table = load_embeddings(cfg["embeddings_path"])
     vocab = build_label_vocab(train_set)
-
-    config_fields = {k: cfg[k] for k in cfg
-                     if k in TrainConfig.__dataclass_fields__ and k != "metric"}
-    if cfg.get("metric"):
-        config_fields["metric"] = cfg["metric"]
-    config = TrainConfig(**config_fields)
     params, report = train(config, train_set, dev_set, table, vocab=vocab, verbose=True)
     save_model(params, vocab, cfg["model_path"])
     if cfg.get("output_path"):
@@ -301,6 +301,9 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
     scores the batch and decodes it with `decode_paths`; its time is
     reported per sequence.
     """
+    for name, value in (("length", length), ("batch", batch), ("reps", reps)):
+        if value < 1:
+            raise ValueError("%s must be at least 1, got %d" % (name, value))
     family = Family.from_name(family) if isinstance(family, str) else family
     params = init_params(family, num_labels, d_h, seed=seed, d_t=d_t, d_r=d_r)
     rng = make_rng((seed, 2))

@@ -469,7 +469,7 @@ def load_model(source):
         dup = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
         raise ValueError("duplicate label in model file: %s" % dup)
     expected = field_shapes(family, num_labels, d_h, d_t, d_r, mlp_hidden)
-    kw = {}
+    arrays = {}
     while True:
         line = rd.next()
         if line == "end":
@@ -480,7 +480,7 @@ def load_model(source):
         name = parts[1]
         if name not in expected:
             raise ValueError("unexpected parameter %s for family %s" % (name, family.value))
-        if name in kw:
+        if name in arrays:
             raise ValueError("duplicate parameter in model file: %s" % name)
         shape = expected[name]
         if parts[2:] != [str(d) for d in shape]:
@@ -499,11 +499,9 @@ def load_model(source):
                                  % (rd.pos, name)) from None
         if len(values) != count:
             raise ValueError("parameter %s has %d values, want %d" % (name, len(values), count))
-        kw[name] = np.array(values, dtype=np.float64).reshape(shape)
-    for name in expected:
-        if name not in kw:
-            raise ValueError("missing field: %s" % name)
-    params = ModelParams(family=family, num_labels=num_labels, d_h=d_h, d_t=d_t, d_r=d_r, **kw)
-    params.validate()
+        arrays[name] = np.array(values, dtype=np.float64).reshape(shape)
+    params = ModelParams(family=family, num_labels=num_labels, d_h=d_h, d_t=d_t, d_r=d_r,
+                         arrays=arrays)
+    params.validate()   # also names a field the file left out
     vocab = LabelVocab(labels=labels, id_of={lab: k for k, lab in enumerate(labels)}, scheme=scheme)
     return params, vocab

@@ -6,6 +6,10 @@ Inference runs on the lattice alone, so a family only has to know how to
 build lattices and how to push lattice-level gradients back onto its own
 parameters.
 
+Fields.  `FAMILY_FIELDS` lists each family's weight fields in canonical
+order; shapes, the family groups and `init_params`' size checks derive
+from it, and `ModelParams.arrays` holds exactly those fields.
+
 Label indexing.  The L real labels are 0..L-1.  A synthetic
 begin-of-sequence (BOS) label occupies row L of the label-embedding table
 and of the vanilla transition table.  Position 0 of every lattice is
@@ -35,7 +39,7 @@ batch, and the pullback recomputes them block by block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -67,39 +71,40 @@ class Family(str, Enum):
 
 CRF_FAMILIES = tuple(f for f in Family if f is not Family.SOFTMAX)
 
-# Families whose potential reads the label-embedding table.
-EMBEDDING_FAMILIES = frozenset(
-    f for f in Family if f not in (Family.SOFTMAX, Family.VANILLA_CRF)
-)
+# The weight fields each family reads, in canonical order: the order of the
+# seeded initialization draws, of the model file and of the SGD update.
+# This is the one place a family's fields are listed.
+FAMILY_FIELDS = {
+    Family.SOFTMAX: ("w_h",),
+    Family.VANILLA_CRF: ("transition_table", "w_h"),
+    Family.TWO_BILINEAR: ("label_embeddings", "w_h", "w_t"),
+    Family.THREE_BILINEAR: ("label_embeddings", "w_t", "w_h1", "w_h2"),
+    Family.TRILINEAR: ("label_embeddings", "u_dense"),
+    Family.D_TRILINEAR: ("label_embeddings", "u_t1", "u_t2", "u_h"),
+    Family.D_QUADRILINEAR: ("label_embeddings", "u_t1", "u_t2", "u_h1", "u_h2"),
+    Family.D_PENTALINEAR: ("label_embeddings", "u_t1", "u_t2", "u_h1", "u_h2", "u_h3"),
+    Family.CONCAT_MLP_1W2L: ("label_embeddings", "mlp_w1", "mlp_b1", "mlp_w2"),
+    Family.CONCAT_MLP_2W2L: ("label_embeddings", "mlp_w1", "mlp_b1", "mlp_w2"),
+}
 
-MLP_FAMILIES = frozenset((Family.CONCAT_MLP_1W2L, Family.CONCAT_MLP_2W2L))
 
-BILINEAR_FAMILIES = (Family.TWO_BILINEAR, Family.THREE_BILINEAR)
+def _reading(name):
+    """The families whose potential reads the field `name`."""
+    return frozenset(f for f, names in FAMILY_FIELDS.items() if name in names)
+
+
+EMBEDDING_FAMILIES = _reading("label_embeddings")
+MLP_FAMILIES = _reading("mlp_w1")
+BILINEAR_FAMILIES = _reading("w_t")
+
+# Number of multiplied factors per decomposed family: every field but the
+# label embeddings is one factor matrix.
+_FACTOR_COUNT = {f: len(FAMILY_FIELDS[f]) - 1 for f in _reading("u_t1")}
 
 # Upper bound on the (positions, labels, hidden) activation block of the
 # concat-MLP families: 2^18 float64 cells (2 MB) stay in cache, and the
 # activations of a whole batch are never held at once.
 MLP_BLOCK_CELLS = 1 << 18
-
-# Canonical parameter order, also the serialization and update order.
-PARAM_FIELDS = (
-    "label_embeddings",
-    "transition_table",
-    "w_h",
-    "w_t",
-    "w_h1",
-    "w_h2",
-    "u_dense",
-    "u_t1",
-    "u_t2",
-    "u_h",
-    "u_h1",
-    "u_h2",
-    "u_h3",
-    "mlp_w1",
-    "mlp_b1",
-    "mlp_w2",
-)
 
 
 @dataclass
@@ -128,59 +133,25 @@ def field_shapes(family, num_labels, d_h, d_t=0, d_r=0, mlp_hidden=0):
     """Required parameter shapes for `family`, in canonical order."""
     family = Family(family)
     L = num_labels
-    shapes: dict[str, tuple] = {}
-    if family is Family.SOFTMAX:
-        shapes["w_h"] = (d_h, L)
-    elif family is Family.VANILLA_CRF:
-        shapes["transition_table"] = (L + 1, L)
-        shapes["w_h"] = (d_h, L)
-    elif family is Family.TWO_BILINEAR:
-        shapes["label_embeddings"] = (L + 1, d_t)
-        shapes["w_h"] = (d_h, d_t)
-        shapes["w_t"] = (d_t, d_t)
-    elif family is Family.THREE_BILINEAR:
-        shapes["label_embeddings"] = (L + 1, d_t)
-        shapes["w_t"] = (d_t, d_t)
-        shapes["w_h1"] = (d_h, d_t)
-        shapes["w_h2"] = (d_h, d_t)
-    elif family is Family.TRILINEAR:
-        shapes["label_embeddings"] = (L + 1, d_t)
-        shapes["u_dense"] = (d_h, d_t, d_t)
-    elif family is Family.D_TRILINEAR:
-        shapes["label_embeddings"] = (L + 1, d_t)
-        shapes["u_t1"] = (d_t, d_r)
-        shapes["u_t2"] = (d_t, d_r)
-        shapes["u_h"] = (d_h, d_r)
-    elif family is Family.D_QUADRILINEAR:
-        shapes["label_embeddings"] = (L + 1, d_t)
-        shapes["u_t1"] = (d_t, d_r)
-        shapes["u_t2"] = (d_t, d_r)
-        shapes["u_h1"] = (d_h, d_r)
-        shapes["u_h2"] = (d_h, d_r)
-    elif family is Family.D_PENTALINEAR:
-        shapes["label_embeddings"] = (L + 1, d_t)
-        shapes["u_t1"] = (d_t, d_r)
-        shapes["u_t2"] = (d_t, d_r)
-        shapes["u_h1"] = (d_h, d_r)
-        shapes["u_h2"] = (d_h, d_r)
-        shapes["u_h3"] = (d_h, d_r)
-    elif family in MLP_FAMILIES:
-        words = 1 if family is Family.CONCAT_MLP_1W2L else 2
-        d_in = words * d_h + 2 * d_t
-        shapes["label_embeddings"] = (L + 1, d_t)
-        shapes["mlp_w1"] = (mlp_hidden, d_in)
-        shapes["mlp_b1"] = (mlp_hidden,)
-        shapes["mlp_w2"] = (1, mlp_hidden)
-    return shapes
+    d_in = (2 if family is Family.CONCAT_MLP_2W2L else 1) * d_h + 2 * d_t
+    shapes = {
+        "label_embeddings": (L + 1, d_t), "transition_table": (L + 1, L),
+        "w_h": (d_h, d_t if family in EMBEDDING_FAMILIES else L), "w_t": (d_t, d_t),
+        "w_h1": (d_h, d_t), "w_h2": (d_h, d_t), "u_dense": (d_h, d_t, d_t),
+        "u_t1": (d_t, d_r), "u_t2": (d_t, d_r),
+        "u_h": (d_h, d_r), "u_h1": (d_h, d_r), "u_h2": (d_h, d_r), "u_h3": (d_h, d_r),
+        "mlp_w1": (mlp_hidden, d_in), "mlp_b1": (mlp_hidden,), "mlp_w2": (1, mlp_hidden),
+    }
+    return {name: shapes[name] for name in FAMILY_FIELDS[family]}
 
 
 @dataclass
 class ModelParams:
     """Weights of one potential family.
 
-    Only the fields demanded by `family` are populated; everything else
-    stays None.  Row L of `label_embeddings` and of `transition_table` is
-    the synthetic BOS label.
+    `arrays` maps each field of FAMILY_FIELDS[family] to its array, and
+    holds no other key.  Row L of `label_embeddings` and of
+    `transition_table` is the synthetic BOS label.
     """
 
     family: Family
@@ -188,68 +159,40 @@ class ModelParams:
     d_h: int
     d_t: int = 0
     d_r: int = 0
-    label_embeddings: np.ndarray | None = None
-    transition_table: np.ndarray | None = None
-    w_h: np.ndarray | None = None
-    w_t: np.ndarray | None = None
-    w_h1: np.ndarray | None = None
-    w_h2: np.ndarray | None = None
-    u_dense: np.ndarray | None = None
-    u_t1: np.ndarray | None = None
-    u_t2: np.ndarray | None = None
-    u_h: np.ndarray | None = None
-    u_h1: np.ndarray | None = None
-    u_h2: np.ndarray | None = None
-    u_h3: np.ndarray | None = None
-    mlp_w1: np.ndarray | None = None
-    mlp_b1: np.ndarray | None = None
-    mlp_w2: np.ndarray | None = None
+    arrays: dict = field(default_factory=dict)
 
     @property
     def mlp_hidden(self) -> int:
-        return 0 if self.mlp_w1 is None else self.mlp_w1.shape[0]
-
-    def expected_shapes(self):
-        return field_shapes(
-            self.family, self.num_labels, self.d_h, self.d_t, self.d_r,
-            self.mlp_hidden,
-        )
+        w1 = self.arrays.get("mlp_w1")
+        return 0 if w1 is None else w1.shape[0]
 
     def param_items(self):
-        """(name, array) pairs for the populated fields, canonical order."""
-        expected = self.expected_shapes()
-        return [(name, getattr(self, name)) for name in PARAM_FIELDS if name in expected]
+        """(name, array) pairs for the family's fields, canonical order."""
+        return [(name, self.arrays[name]) for name in FAMILY_FIELDS[self.family]]
 
     def validate(self):
-        expected = self.expected_shapes()
-        for name in PARAM_FIELDS:
-            arr = getattr(self, name)
+        expected = field_shapes(self.family, self.num_labels, self.d_h, self.d_t, self.d_r,
+                                self.mlp_hidden)
+        for name in self.arrays:
             if name not in expected:
-                if arr is not None:
-                    raise ValueError("field %s must not be set for %s" % (name, self.family.value))
-                continue
+                raise ValueError("field %s must not be set for %s" % (name, self.family.value))
+        for name, shape in expected.items():
+            arr = self.arrays.get(name)
             if arr is None:
                 raise ValueError("missing field: %s" % name)
-            if arr.shape != expected[name]:
-                raise ValueError(
-                    "dimension mismatch for %s: got %r, want %r"
-                    % (name, arr.shape, expected[name])
-                )
+            if arr.shape != shape:
+                raise ValueError("dimension mismatch for %s: got %r, want %r"
+                                 % (name, arr.shape, shape))
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite parameter in %s" % name)
 
     def copy(self) -> "ModelParams":
-        kw = {name: None if getattr(self, name) is None else getattr(self, name).copy()
-              for name in PARAM_FIELDS}
-        return ModelParams(
-            family=self.family, num_labels=self.num_labels,
-            d_h=self.d_h, d_t=self.d_t, d_r=self.d_r, **kw,
-        )
+        return replace(self, arrays={name: a.copy() for name, a in self.arrays.items()})
 
 
 @dataclass
 class ParamGrad:
-    """Gradient accumulator mirroring the populated fields of a ModelParams."""
+    """Gradient accumulator mirroring the fields of a ModelParams."""
 
     family: Family
     arrays: dict = field(default_factory=dict)
@@ -270,14 +213,6 @@ class ParamGrad:
 
     def norm(self) -> float:
         return float(np.sqrt(sum(float(np.sum(a * a)) for a in self.arrays.values())))
-
-
-# Number of multiplied factors per decomposed family.
-_FACTOR_COUNT = {
-    Family.D_TRILINEAR: 3,
-    Family.D_QUADRILINEAR: 4,
-    Family.D_PENTALINEAR: 5,
-}
 
 
 def init_params(family, num_labels, d_h, seed, d_t=0, d_r=0, mlp_hidden=128) -> ModelParams:
@@ -302,9 +237,8 @@ def init_params(family, num_labels, d_h, seed, d_t=0, d_r=0, mlp_hidden=128) -> 
     for name, size, needed in used:
         if needed and size < 1:
             raise ValueError("%s must be positive for %s, got %d" % (name, family.value, size))
-    if family in (Family.SOFTMAX, Family.VANILLA_CRF):
-        d_t = 0
-        d_r = 0
+    if family not in EMBEDDING_FAMILIES:
+        d_t = d_r = 0
     if family not in MLP_FAMILIES:
         mlp_hidden = 0
     shapes = field_shapes(family, num_labels, d_h, d_t, d_r, mlp_hidden)
@@ -320,23 +254,20 @@ def init_params(family, num_labels, d_h, seed, d_t=0, d_r=0, mlp_hidden=128) -> 
         for name in ("u_h", "u_h1", "u_h2", "u_h3"):
             bounds[name] = np.sqrt(3.0) * target
     rng = make_rng(seed)
-    kw = {}
-    for name in PARAM_FIELDS:
-        if name not in shapes:
-            continue
-        shape = shapes[name]
+    arrays = {}
+    for name, shape in shapes.items():
         if name == "mlp_b1":
-            kw[name] = np.zeros(shape)
+            arrays[name] = np.zeros(shape)
         elif name in bounds:
-            kw[name] = rng.uniform(-bounds[name], bounds[name], size=shape)
+            arrays[name] = rng.uniform(-bounds[name], bounds[name], size=shape)
         elif len(shape) == 3:
             a = np.sqrt(6.0 / (shape[0] + shape[1] * shape[2]))
-            kw[name] = rng.uniform(-a, a, size=shape)
+            arrays[name] = rng.uniform(-a, a, size=shape)
         else:
             rows, cols = shape if len(shape) == 2 else (1, shape[0])
-            kw[name] = glorot(rng, rows, cols).reshape(shape)
+            arrays[name] = glorot(rng, rows, cols).reshape(shape)
     return ModelParams(family=family, num_labels=num_labels, d_h=d_h,
-                       d_t=d_t, d_r=d_r, **kw)
+                       d_t=d_t, d_r=d_r, arrays=arrays)
 
 
 def reconstruct_dense_trilinear(u_t1, u_t2, u_h) -> np.ndarray:
@@ -356,45 +287,41 @@ def reconstruct_dense_trilinear(u_t1, u_t2, u_h) -> np.ndarray:
 def _precompute(params: ModelParams) -> dict:
     """Sequence-independent tensors for `params`, shared across a batch."""
     f = params.family
+    w = params.arrays
+    L = params.num_labels
     pre: dict = {}
     if f in EMBEDDING_FAMILIES:
-        T_ext = params.label_embeddings            # (L+1, d_t), row L = BOS
-        T_cur = T_ext[: params.num_labels]         # BOS is never a current label
-        pre["T_ext"] = T_ext
-        pre["T_cur"] = T_cur
+        pre["T_ext"] = T_ext = w["label_embeddings"]   # (L+1, d_t), row L = BOS
+        pre["T_cur"] = T_cur = T_ext[:L]               # BOS is never a current label
     if f is Family.SOFTMAX:
         # softmax scores are vanilla-crf scores without transitions
-        pre["table"] = np.zeros((params.num_labels + 1, params.num_labels))
+        pre["table"] = np.zeros((L + 1, L))
     elif f is Family.VANILLA_CRF:
-        pre["table"] = params.transition_table
+        pre["table"] = w["transition_table"]
     elif f in BILINEAR_FAMILIES:
-        pre["table"] = pre["T_ext"] @ params.w_t @ pre["T_cur"].T
+        pre["table"] = T_ext @ w["w_t"] @ T_cur.T
     elif f is Family.TRILINEAR:
         # Fold the label embeddings into the tensor:
         # folded[p, a, b] = T_ext[a] . u_dense[p] . T_cur[b], split like
         # d-trilinear's A_cur/A_bos into real previous labels and BOS.
-        L = params.num_labels
-        pre["UT"] = params.u_dense @ T_cur.T        # (d_h, d_t, L)
-        folded = np.matmul(T_ext, pre["UT"])        # (d_h, L+1, L)
+        pre["UT"] = w["u_dense"] @ T_cur.T     # (d_h, d_t, L)
+        folded = np.matmul(T_ext, pre["UT"])    # (d_h, L+1, L)
         pre["A_cur"] = folded[:, :L].reshape(params.d_h, L * L)
         pre["A_bos"] = np.ascontiguousarray(folded[:, L])
-    elif f in (Family.D_TRILINEAR, Family.D_QUADRILINEAR, Family.D_PENTALINEAR):
-        L = params.num_labels
-        G1 = pre["T_ext"] @ params.u_t1            # previous-label factors
-        G2 = pre["T_cur"] @ params.u_t2            # current-label factors
-        pre["G1"] = G1
-        pre["G2"] = G2
+    elif f in _FACTOR_COUNT:
+        pre["G1"] = G1 = T_ext @ w["u_t1"]     # previous-label factors
+        pre["G2"] = G2 = T_cur @ w["u_t2"]     # current-label factors
         # pairwise label-factor products, split into the real-label block
         # and the BOS row so lattices can be written without an ext table
         pre["G12"] = (G1[:, None, :] * G2[None, :, :]).reshape(-1, params.d_r)
         pre["G12_cur"] = pre["G12"][: L * L]
         pre["G12_bos"] = pre["G12"][L * L:]
         if f is Family.D_TRILINEAR:
-            pre["A_cur"] = params.u_h @ pre["G12_cur"].T   # (d_h, L*L)
-            pre["A_bos"] = params.u_h @ pre["G12_bos"].T   # (d_h, L)
+            pre["A_cur"] = w["u_h"] @ pre["G12_cur"].T    # (d_h, L*L)
+            pre["A_bos"] = w["u_h"] @ pre["G12_bos"].T    # (d_h, L)
     elif f in MLP_FAMILIES:
-        L, d_t = params.num_labels, params.d_t
-        w1 = params.mlp_w1
+        d_t = params.d_t
+        w1 = w["mlp_w1"]
         d_w = w1.shape[1] - 2 * d_t           # word columns: [previous word,] current word
         pre["w1_words"] = w1[:, :d_w]
         pre["w1_prev_label"] = w1[:, d_w: d_w + d_t]
@@ -403,8 +330,8 @@ def _precompute(params: ModelParams) -> dict:
         Zb = T_cur @ pre["w1_cur_label"].T    # (L, H)
         # label-side pre-activations, word-independent: real previous
         # labels as (L*L, H) rows indexed a*L+b, and the BOS row (L, H)
-        pre["Z_cur"] = (Za[:L, None, :] + Zb[None, :, :] + params.mlp_b1).reshape(L * L, -1)
-        pre["Z_bos"] = Za[L] + Zb + params.mlp_b1
+        pre["Z_cur"] = (Za[:L, None, :] + Zb[None, :, :] + w["mlp_b1"]).reshape(L * L, -1)
+        pre["Z_bos"] = Za[L] + Zb + w["mlp_b1"]
     return pre
 
 
@@ -452,14 +379,15 @@ def _word_factors(params, h_all, spans):
     well-defined, trainable potential.
     """
     f = params.family
+    w = params.arrays
     if f is Family.D_TRILINEAR:
-        factors = (h_all @ params.u_h,)
+        factors = (h_all @ w["u_h"],)
     else:
         ones = np.ones((h_all.shape[0], params.d_r))
-        factors = (_neighbor_rows(h_all @ params.u_h1, spans, prev=True, times=ones),
-                   h_all @ params.u_h2)
+        factors = (_neighbor_rows(h_all @ w["u_h1"], spans, prev=True, times=ones),
+                   h_all @ w["u_h2"])
         if f is Family.D_PENTALINEAR:
-            factors += (_neighbor_rows(h_all @ params.u_h3, spans, prev=False,
+            factors += (_neighbor_rows(h_all @ w["u_h3"], spans, prev=False,
                                        times=np.ones_like(ones)),)
     return factors
 
@@ -534,12 +462,15 @@ def _mlp_pullback(Zw, Zl, w2, grad):
     return g_w2, S_w, S_l
 
 
-def _check_reps(params, reps):
-    if reps.d_h != params.d_h:
-        raise ValueError(
-            "dimension mismatch: representations have d_h=%d, model wants %d"
-            % (reps.d_h, params.d_h)
-        )
+def _check_inputs(params, reps_list):
+    """Checks shared by scoring and the pullback: parameters and d_h."""
+    params.validate()
+    for reps in reps_list:
+        if reps.d_h != params.d_h:
+            raise ValueError(
+                "dimension mismatch: representations have d_h=%d, model wants %d"
+                % (reps.d_h, params.d_h)
+            )
 
 
 def score_lattices(params: ModelParams, reps_list) -> list:
@@ -555,15 +486,14 @@ def score_lattices(params: ModelParams, reps_list) -> list:
     overwritten with its BOS-conditioned row broadcast.  Raises
     ValueError naming the sequence if a representation is not finite.
     """
-    params.validate()
-    for reps in reps_list:
-        _check_reps(params, reps)
+    _check_inputs(params, reps_list)
     if not reps_list:
         return []
     pre = _precompute(params)
     h_all, spans = _stack(reps_list)
     L = params.num_labels
     f = params.family
+    w = params.arrays
     starts = [s for s, _ in spans]
     flat = np.empty((h_all.shape[0], L, L))
     if f in (Family.D_TRILINEAR, Family.TRILINEAR):
@@ -573,7 +503,7 @@ def score_lattices(params: ModelParams, reps_list) -> list:
         # score each distinct word input once, then gather per position
         X, inverse = _mlp_words(params, h_all, spans)
         Zw = X @ pre["w1_words"].T
-        w2 = params.mlp_w2[0]
+        w2 = w["mlp_w2"][0]
         scores = _mlp_scores(Zw, pre["Z_cur"], w2, np.empty((len(X), L * L)))
         np.take(scores, inverse, axis=0, out=flat.reshape(-1, L * L))
         bos_rows, bos_inverse = np.unique(inverse[starts], return_inverse=True)
@@ -581,20 +511,20 @@ def score_lattices(params: ModelParams, reps_list) -> list:
         bos = bos[bos_inverse]
     elif f in (Family.D_QUADRILINEAR, Family.D_PENTALINEAR):
         # the word-factor product, multiplied in place: no factor copies
-        W = _neighbor_rows(h_all @ params.u_h1, spans, prev=True, times=h_all @ params.u_h2)
+        W = _neighbor_rows(h_all @ w["u_h1"], spans, prev=True, times=h_all @ w["u_h2"])
         if f is Family.D_PENTALINEAR:
-            _neighbor_rows(h_all @ params.u_h3, spans, prev=False, times=W)
+            _neighbor_rows(h_all @ w["u_h3"], spans, prev=False, times=W)
         np.matmul(W, pre["G12_cur"].T, out=flat.reshape(-1, L * L))
         bos = W[starts] @ pre["G12_bos"].T
     else:
         # table[a, b] + col[m, b], plus row[m, a] for three-bilinear
-        col = h_all @ (params.w_h1 if f is Family.THREE_BILINEAR else params.w_h)
+        col = h_all @ w["w_h1" if f is Family.THREE_BILINEAR else "w_h"]
         if f in BILINEAR_FAMILIES:
             col = col @ pre["T_cur"].T
         np.add(pre["table"][:L], col[:, None, :], out=flat)
         bos = pre["table"][L] + col[starts]
         if f is Family.THREE_BILINEAR:
-            row = (h_all @ params.w_h2) @ pre["T_ext"].T
+            row = (h_all @ w["w_h2"]) @ pre["T_ext"].T
             flat += row[:, :L, None]
             bos += row[starts, L][:, None]
     for k, (s, e) in enumerate(spans):
@@ -616,7 +546,7 @@ def _accumulate_additive(params, pre, h_all, spans, gext, out):
     for softmax, vanilla-crf and the bilinear families."""
     L = params.num_labels
     f = params.family
-    g = out.arrays
+    w, g = params.arrays, out.arrays
     gcol = gext.sum(axis=1)               # (N, L)
     if f in (Family.SOFTMAX, Family.VANILLA_CRF):
         g["w_h"] += h_all.T @ gcol
@@ -626,15 +556,15 @@ def _accumulate_additive(params, pre, h_all, spans, gext, out):
     T_ext, T_cur = pre["T_ext"], pre["T_cur"]
     total = gext.sum(axis=0)              # (L+1, L)
     g["w_t"] += T_ext.T @ total @ T_cur
-    g["label_embeddings"] += total @ (T_cur @ params.w_t.T)
-    g["label_embeddings"][:L] += total.T @ (T_ext @ params.w_t)
+    g["label_embeddings"] += total @ (T_cur @ w["w_t"].T)
+    g["label_embeddings"][:L] += total.T @ (T_ext @ w["w_t"])
     cur = "w_h" if f is Family.TWO_BILINEAR else "w_h1"
     g[cur] += h_all.T @ (gcol @ T_cur)
-    g["label_embeddings"][:L] += (gcol.T @ h_all) @ getattr(params, cur)
+    g["label_embeddings"][:L] += (gcol.T @ h_all) @ w[cur]
     if f is Family.THREE_BILINEAR:
         grow = gext.sum(axis=2)           # (N, L+1)
         g["w_h2"] += h_all.T @ (grow @ T_ext)
-        g["label_embeddings"] += (grow.T @ h_all) @ params.w_h2
+        g["label_embeddings"] += (grow.T @ h_all) @ w["w_h2"]
 
 
 def _accumulate_decomposed(params, pre, h_all, spans, gext, out):
@@ -647,7 +577,7 @@ def _accumulate_decomposed(params, pre, h_all, spans, gext, out):
     """
     L = params.num_labels
     f = params.family
-    g = out.arrays
+    w, g = params.arrays, out.arrays
     total = h_all.shape[0]
     factors = _word_factors(params, h_all, spans)
     W = factors[0]
@@ -665,8 +595,8 @@ def _accumulate_decomposed(params, pre, h_all, spans, gext, out):
     D2 = np.einsum("abj,aj->bj", Q, G1, optimize=True)
     g["u_t1"] += T_ext.T @ D1
     g["u_t2"] += T_cur.T @ D2
-    g["label_embeddings"] += D1 @ params.u_t1.T
-    g["label_embeddings"][:L] += D2 @ params.u_t2.T
+    g["label_embeddings"] += D1 @ w["u_t1"].T
+    g["label_embeddings"][:L] += D2 @ w["u_t2"].T
     if f is Family.D_TRILINEAR:
         g["u_h"] += h_all.T @ base
         return
@@ -695,7 +625,7 @@ def _accumulate_trilinear(params, pre, h_all, spans, gext, out):
     K = (h_all.T @ gext.reshape(len(h_all), -1)).reshape(d_h, L + 1, L)
     g["u_dense"] += np.matmul(T_ext.T, K) @ T_cur
     g["label_embeddings"] += np.matmul(K, pre["UT"].transpose(0, 2, 1)).sum(axis=0)
-    TU = np.matmul(T_ext, params.u_dense)       # (d_h, L+1, d_t)
+    TU = np.matmul(T_ext, params.arrays["u_dense"])       # (d_h, L+1, d_t)
     g["label_embeddings"][:L] += np.matmul(K.transpose(0, 2, 1), TU).sum(axis=0)
 
 
@@ -717,7 +647,7 @@ def _accumulate_mlp(params, pre, h_all, spans, gext, out):
     starts = [s for s, _ in spans]
     X, inverse = _mlp_words(params, h_all, spans)
     Zw = X @ pre["w1_words"].T
-    w2 = params.mlp_w2[0]
+    w2 = params.arrays["mlp_w2"][0]
     g_w2, S_w, S_cur = _mlp_pullback(
         Zw, pre["Z_cur"], w2, _group_sums(gext[:, :L], inverse, len(X)).reshape(len(X), L * L))
     bos_rows, bos_inverse = np.unique(inverse[starts], return_inverse=True)
@@ -750,13 +680,12 @@ def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
     gradient.  The reduction over sequences is deterministic (stacked,
     position order) so results are reproducible.
     """
-    params.validate()
+    _check_inputs(params, reps_list)
     if len(reps_list) != len(lat_grads):
         raise ValueError("got %d sequences but %d gradients" % (len(reps_list), len(lat_grads)))
     out = ParamGrad.zeros(params)
     L = params.num_labels
     for reps, lg in zip(reps_list, lat_grads):
-        _check_reps(params, reps)
         if lg.shape != (reps.length, L, L):
             raise ValueError(
                 "lattice gradient shape %r does not match (%d, %d, %d)"

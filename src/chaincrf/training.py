@@ -37,6 +37,7 @@ from .potentials import Family, backprop_lattices, init_params, score_lattices
 METRIC_AUTO = "auto"
 METRIC_SPAN_F1 = "span_f1"
 METRIC_TOKEN_ACCURACY = "token_accuracy"
+METRICS = (METRIC_AUTO, METRIC_SPAN_F1, METRIC_TOKEN_ACCURACY)
 
 
 @dataclass
@@ -62,10 +63,18 @@ class TrainConfig:
         self.family = Family(self.family)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        if self.lr_decay <= 0:
+            raise ValueError("lr_decay must be positive")
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 1),
+                            ("l2", 0), ("grad_clip", 0)):
+            if getattr(self, name) < least:
+                raise ValueError("%s must be at least %d, got %r"
+                                 % (name, least, getattr(self, name)))
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample_fraction must be in (0, 1]")
+        if self.metric not in METRICS:
+            raise ValueError("metric must be one of %s, got %s"
+                             % (", ".join(METRICS), self.metric))
 
 
 class TrainingDiverged(ValueError):

@@ -126,27 +126,30 @@ def test_equivalence_suite():
     # (a) vanilla == two-bilinear under the one-hot construction
     van = init_params(Family.VANILLA_CRF, L, d_h, seed=31)
     w_t = np.zeros((L + 1, L + 1))
-    w_t[:, :L] = van.transition_table
+    w_t[:, :L] = van.arrays["transition_table"]
     w_h = np.zeros((d_h, L + 1))
-    w_h[:, :L] = van.w_h
+    w_h[:, :L] = van.arrays["w_h"]
     two = ModelParams(family=Family.TWO_BILINEAR, num_labels=L, d_h=d_h, d_t=L + 1,
-                      label_embeddings=np.eye(L + 1), w_t=w_t, w_h=w_h)
+                      arrays=dict(label_embeddings=np.eye(L + 1), w_t=w_t, w_h=w_h))
     reps = random_reps(M, d_h, seed=32)
     assert np.max(np.abs(score_lattice(van, reps) - score_lattice(two, reps))) < 1e-12
 
     # (b) three-bilinear with w_h2 = 0 equals two-bilinear exactly
     two_b = init_params(Family.TWO_BILINEAR, L, d_h, seed=33, d_t=4)
+    a = two_b.arrays
     three = ModelParams(family=Family.THREE_BILINEAR, num_labels=L, d_h=d_h, d_t=4,
-                        label_embeddings=two_b.label_embeddings.copy(),
-                        w_t=two_b.w_t.copy(), w_h1=two_b.w_h.copy(),
-                        w_h2=np.zeros_like(two_b.w_h))
+                        arrays=dict(label_embeddings=a["label_embeddings"].copy(),
+                                    w_t=a["w_t"].copy(), w_h1=a["w_h"].copy(),
+                                    w_h2=np.zeros_like(a["w_h"])))
     np.testing.assert_array_equal(score_lattice(three, reps), score_lattice(two_b, reps))
 
     # (c) d-trilinear equals trilinear through dense reconstruction
     dt = init_params(Family.D_TRILINEAR, L, d_h, seed=34, d_t=4, d_r=3)
+    a = dt.arrays
     dense = ModelParams(family=Family.TRILINEAR, num_labels=L, d_h=d_h, d_t=4,
-                        label_embeddings=dt.label_embeddings.copy(),
-                        u_dense=reconstruct_dense_trilinear(dt.u_t1, dt.u_t2, dt.u_h))
+                        arrays=dict(label_embeddings=a["label_embeddings"].copy(),
+                                    u_dense=reconstruct_dense_trilinear(a["u_t1"], a["u_t2"],
+                                                                        a["u_h"])))
     assert np.max(np.abs(score_lattice(dt, reps) - score_lattice(dense, reps))) < 1e-9
     _passed("equivalence suite (vanilla/two-bilinear, three-bilinear, d-trilinear)")
 

@@ -161,6 +161,22 @@ def test_train_zero_size_exit_1(tmp_path, capsys, family, size):
     assert not os.path.exists(cfg["model_path"])
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("metric", "bogus", "metric must be one of"),
+    ("lr_decay", -0.5, "lr_decay must be positive"),
+    ("l2", -1.0, "l2 must be at least 0"),
+    ("grad_clip", -1.0, "grad_clip must be at least 0"),
+    ("max_epochs", 0, "max_epochs must be at least 1"),
+    ("patience", 0, "patience must be at least 1"),
+])
+def test_train_bad_config_value_exit_1(tmp_path, capsys, key, value, message):
+    paths = write_corpus(tmp_path, n=10)
+    config_path, cfg = base_config(tmp_path, paths, **{key: value})
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(cfg["model_path"])
+
+
 def test_train_flag_overrides_family(tmp_path):
     paths = write_corpus(tmp_path)
     config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
@@ -374,6 +390,13 @@ def test_bench_json_rows_and_environment(tmp_path, capsys):
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     assert record["settings"] == {"labels": 3, "d_h": 4, "d_t": 3, "d_r": 2, "length": 3,
                                   "batch": 2, "reps": 1, "seed": 0}
+
+
+@pytest.mark.parametrize("flag", ["--reps", "--batch", "--length"])
+def test_bench_rejects_size_below_one_exit_1(capsys, flag):
+    assert main(["bench", "--family", "vanilla-crf", "--labels", "3", "--d-h", "4",
+                 "--length", "3", "--batch", "2", "--reps", "1", flag, "0"]) == 1
+    assert "%s must be at least 1, got 0" % flag[2:] in capsys.readouterr().err
 
 
 def test_bench_degenerate_length_one():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import tempfile
@@ -541,6 +542,31 @@ def test_model_round_trip_bit_exact(family):
     assert vocab.labels == ["L0", "L1", "L2"]
     for (name, arr), (_, back) in zip(params.param_items(), loaded.param_items()):
         assert arr.tobytes() == back.tobytes(), name
+
+
+# sha256 of the model file of init_params(family, 5, 10, seed=7, d_t=6, d_r=4,
+# mlp_hidden=8) with labels L0..L4: pins the seeded draw order, the field
+# order and the file layout of every family.
+SEEDED_MODEL_SHA256 = {
+    "softmax": "7af60f388b652890a2af41492b2edad2879ac14d913341ac6e268094a36fc5c0",
+    "vanilla-crf": "b368b8f7deee70f607b5949a4cd9ee31736b535bf189363083499f0c6cd1e10f",
+    "two-bilinear": "194941a7a346711c8c17cc7a5d04e36eacd0711ce6bdb1887fbd4ae037f035fc",
+    "three-bilinear": "c634765b05afaa1644d62e8f3cbc875b7aacdbd95a9f50588174aba0d49dd8f5",
+    "trilinear": "fa18b8528bf3df027680810c4d1c0a05701dc700d4d08bac2ffafe9d98773141",
+    "d-trilinear": "71c641c30665fd906bd101ddc8e04411f069ba396844952bcefc0a11ebb1042f",
+    "d-quadrilinear": "97b3363691688f113f07f6cfac738b0c830685143a0e85e2c8a68d4d1da69550",
+    "d-pentalinear": "3c85978086f3e5a6a9870b7af5f39202dd83d7b698279b110cdf69f844516061",
+    "concat-mlp-1w2l": "43f7cde07f44c0de56a22d191d52616ea5242ba6c7bce922b40f145ef6b47c61",
+    "concat-mlp-2w2l": "d2cb57881157478bd22833c3984cc0e14d37710aad87ee09e4fb7452bd93fdae",
+}
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_seeded_model_file_is_pinned(family):
+    params = init_params(family, 5, 10, seed=7, d_t=6, d_r=4, mlp_hidden=8)
+    buf = io.StringIO()
+    save_model(params, _vocab(5), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SEEDED_MODEL_SHA256[family.value]
 
 
 @settings(max_examples=60, deadline=None)

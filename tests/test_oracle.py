@@ -60,8 +60,8 @@ def test_finite_diff_constant_function():
 
 def test_finite_diff_quadratic():
     p = init_params(Family.VANILLA_CRF, 3, 2, seed=0)
-    p.transition_table[0, 0] = 3.0
-    g = finite_diff_grad(lambda q: float(q.transition_table[0, 0] ** 2), p)
+    p.arrays["transition_table"][0, 0] = 3.0
+    g = finite_diff_grad(lambda q: float(q.arrays["transition_table"][0, 0] ** 2), p)
     assert g.arrays["transition_table"][0, 0] == pytest.approx(6.0, abs=1e-6)
     assert g.arrays["transition_table"][1, 1] == 0.0
 

@@ -34,8 +34,8 @@ ADDITIVE = [Family.SOFTMAX, Family.VANILLA_CRF, Family.TWO_BILINEAR, Family.THRE
 def vanilla(num_labels, d_h, transition, w_h):
     return ModelParams(
         family=Family.VANILLA_CRF, num_labels=num_labels, d_h=d_h,
-        transition_table=np.asarray(transition, dtype=np.float64),
-        w_h=np.asarray(w_h, dtype=np.float64),
+        arrays=dict(transition_table=np.asarray(transition, dtype=np.float64),
+                    w_h=np.asarray(w_h, dtype=np.float64)),
     )
 
 
@@ -70,9 +70,9 @@ def test_d_trilinear_all_ones_factors():
     L, d_h, d_r = 3, 4, 2
     p = ModelParams(
         family=Family.D_TRILINEAR, num_labels=L, d_h=d_h, d_t=L + 1, d_r=d_r,
-        label_embeddings=np.eye(L + 1),
-        u_t1=np.ones((L + 1, d_r)), u_t2=np.ones((L + 1, d_r)),
-        u_h=np.ones((d_h, d_r)),
+        arrays=dict(label_embeddings=np.eye(L + 1),
+                    u_t1=np.ones((L + 1, d_r)), u_t2=np.ones((L + 1, d_r)),
+                    u_h=np.ones((d_h, d_r))),
     )
     h = np.zeros((5, d_h))
     h[:, 0] = 1.0
@@ -96,9 +96,24 @@ def test_lattice_position_zero_rows_identical():
 
 def test_score_lattice_rejects_nan_params():
     p = small_params(Family.D_TRILINEAR)
-    p.u_h[0, 0] = np.nan
+    p.arrays["u_h"][0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         score_lattice(p, small_reps())
+
+
+@pytest.mark.parametrize("name", ["bogus", "w_t"])
+def test_validate_rejects_unknown_field(name):
+    p = small_params(Family.VANILLA_CRF)
+    p.arrays[name] = np.zeros((SMALL["d_h"], SMALL["num_labels"]))
+    with pytest.raises(ValueError, match="field %s must not be set for vanilla-crf" % name):
+        p.validate()
+
+
+def test_validate_rejects_missing_field():
+    p = small_params(Family.D_QUADRILINEAR)
+    del p.arrays["u_h1"]
+    with pytest.raises(ValueError, match="missing field: u_h1"):
+        p.validate()
 
 
 def test_score_lattice_rejects_dim_mismatch():
@@ -140,12 +155,12 @@ def test_equivalence_vanilla_two_bilinear_one_hot():
     L, d_h, M = 4, 5, 6
     van = small_params(Family.VANILLA_CRF, seed=3)
     w_t = np.zeros((L + 1, L + 1))
-    w_t[:, :L] = van.transition_table
+    w_t[:, :L] = van.arrays["transition_table"]
     w_h = np.zeros((d_h, L + 1))
-    w_h[:, :L] = van.w_h
+    w_h[:, :L] = van.arrays["w_h"]
     two = ModelParams(
         family=Family.TWO_BILINEAR, num_labels=L, d_h=d_h, d_t=L + 1,
-        label_embeddings=np.eye(L + 1), w_t=w_t, w_h=w_h,
+        arrays=dict(label_embeddings=np.eye(L + 1), w_t=w_t, w_h=w_h),
     )
     reps = random_reps(M, d_h, seed=4)
     a = score_lattice(van, reps)
@@ -155,11 +170,12 @@ def test_equivalence_vanilla_two_bilinear_one_hot():
 
 def test_equivalence_three_bilinear_degenerates_to_two():
     two = small_params(Family.TWO_BILINEAR, seed=5)
+    a = two.arrays
     three = ModelParams(
         family=Family.THREE_BILINEAR, num_labels=two.num_labels, d_h=two.d_h,
-        d_t=two.d_t, label_embeddings=two.label_embeddings.copy(),
-        w_t=two.w_t.copy(), w_h1=two.w_h.copy(),
-        w_h2=np.zeros_like(two.w_h),
+        d_t=two.d_t, arrays=dict(label_embeddings=a["label_embeddings"].copy(),
+                                 w_t=a["w_t"].copy(), w_h1=a["w_h"].copy(),
+                                 w_h2=np.zeros_like(a["w_h"])),
     )
     reps = small_reps(seed=6)
     np.testing.assert_array_equal(score_lattice(three, reps), score_lattice(two, reps))
@@ -167,10 +183,11 @@ def test_equivalence_three_bilinear_degenerates_to_two():
 
 def test_equivalence_d_trilinear_matches_dense_reconstruction():
     dt = small_params(Family.D_TRILINEAR, seed=7)
+    a = dt.arrays
     dense = ModelParams(
         family=Family.TRILINEAR, num_labels=dt.num_labels, d_h=dt.d_h, d_t=dt.d_t,
-        label_embeddings=dt.label_embeddings.copy(),
-        u_dense=reconstruct_dense_trilinear(dt.u_t1, dt.u_t2, dt.u_h),
+        arrays=dict(label_embeddings=a["label_embeddings"].copy(),
+                    u_dense=reconstruct_dense_trilinear(a["u_t1"], a["u_t2"], a["u_h"])),
     )
     reps = small_reps(seed=8)
     a = score_lattice(dt, reps)
@@ -186,11 +203,13 @@ def test_equivalence_quadrilinear_degenerates_to_trilinear():
     d_h, d_r = tri.d_h, tri.d_r
     u_h1 = np.zeros((d_h, d_r))
     u_h1[0] = 1.0
+    a = tri.arrays
     quad = ModelParams(
         family=Family.D_QUADRILINEAR, num_labels=tri.num_labels, d_h=d_h,
-        d_t=tri.d_t, d_r=d_r, label_embeddings=tri.label_embeddings.copy(),
-        u_t1=tri.u_t1.copy(), u_t2=tri.u_t2.copy(),
-        u_h1=u_h1, u_h2=tri.u_h.copy(),
+        d_t=tri.d_t, d_r=d_r, arrays=dict(
+            label_embeddings=a["label_embeddings"].copy(),
+            u_t1=a["u_t1"].copy(), u_t2=a["u_t2"].copy(),
+            u_h1=u_h1, u_h2=a["u_h"].copy()),
     )
     h = make_rng(10).standard_normal((6, d_h))
     h[:, 0] = 1.0
@@ -207,11 +226,13 @@ def test_pentalinear_boundary_factors_are_identity():
     d_h, d_r = tri.d_h, tri.d_r
     ones_reader = np.zeros((d_h, d_r))
     ones_reader[0] = 1.0
+    a = tri.arrays
     penta = ModelParams(
         family=Family.D_PENTALINEAR, num_labels=tri.num_labels, d_h=d_h,
-        d_t=tri.d_t, d_r=d_r, label_embeddings=tri.label_embeddings.copy(),
-        u_t1=tri.u_t1.copy(), u_t2=tri.u_t2.copy(),
-        u_h1=ones_reader.copy(), u_h2=tri.u_h.copy(), u_h3=ones_reader.copy(),
+        d_t=tri.d_t, d_r=d_r, arrays=dict(
+            label_embeddings=a["label_embeddings"].copy(),
+            u_t1=a["u_t1"].copy(), u_t2=a["u_t2"].copy(),
+            u_h1=ones_reader.copy(), u_h2=a["u_h"].copy(), u_h3=ones_reader.copy()),
     )
     h = make_rng(12).standard_normal((5, d_h))
     h[:, 0] = 1.0
@@ -244,7 +265,7 @@ def test_backprop_vanilla_one_hot_chain_rule():
     want_tt = np.zeros((L + 1, L))
     want_tt[a, b] = 1.0
     np.testing.assert_array_equal(out.arrays["transition_table"], want_tt)
-    want_wh = np.zeros_like(p.w_h)
+    want_wh = np.zeros_like(p.arrays["w_h"])
     want_wh[:, b] = reps.h[m]
     np.testing.assert_allclose(out.arrays["w_h"], want_wh)
 
@@ -460,34 +481,35 @@ def reference_ext_and_grads(p, h, lat_grad):
     table, from explicit einsums (and the full activation tensor for the
     concat-MLP families), and the pullback of `lat_grad` through it."""
     L, d_t = p.num_labels, p.d_t
+    w = p.arrays
     M = len(h)
     gext = np.zeros((M, L + 1, L))
     gext[0, L] = lat_grad[0].sum(axis=0)
     gext[1:, :L] = lat_grad[1:]
     g = {}
     if p.family in (Family.SOFTMAX, Family.VANILLA_CRF):
-        ext = np.repeat(np.einsum("mp,pb->mb", h, p.w_h)[:, None, :], L + 1, axis=1)
+        ext = np.repeat(np.einsum("mp,pb->mb", h, w["w_h"])[:, None, :], L + 1, axis=1)
         g["w_h"] = np.einsum("mp,mab->pb", h, gext)
         if p.family is Family.VANILLA_CRF:
-            ext += p.transition_table
+            ext += w["transition_table"]
             g["transition_table"] = np.einsum("mab->ab", gext)
         return ext, g
-    T_ext = p.label_embeddings
+    T_ext = w["label_embeddings"]
     T_cur = T_ext[:L]
     if p.family in (Family.TWO_BILINEAR, Family.THREE_BILINEAR):
         cur = "w_h" if p.family is Family.TWO_BILINEAR else "w_h1"
-        w_cur = getattr(p, cur)
-        ext = (np.einsum("aq,qr,br->ab", T_ext, p.w_t, T_cur)[None]
+        w_cur = w[cur]
+        ext = (np.einsum("aq,qr,br->ab", T_ext, w["w_t"], T_cur)[None]
                + np.einsum("mp,pr,br->mb", h, w_cur, T_cur)[:, None, :])
         g["w_t"] = np.einsum("mab,aq,br->qr", gext, T_ext, T_cur)
         g[cur] = np.einsum("mab,mp,br->pr", gext, h, T_cur)
-        g["label_embeddings"] = np.einsum("mab,qr,br->aq", gext, p.w_t, T_cur)
-        g["label_embeddings"][:L] += (np.einsum("mab,aq,qr->br", gext, T_ext, p.w_t)
+        g["label_embeddings"] = np.einsum("mab,qr,br->aq", gext, w["w_t"], T_cur)
+        g["label_embeddings"][:L] += (np.einsum("mab,aq,qr->br", gext, T_ext, w["w_t"])
                                       + np.einsum("mab,mp,pr->br", gext, h, w_cur))
         if p.family is Family.THREE_BILINEAR:
-            ext = ext + np.einsum("mp,pq,aq->ma", h, p.w_h2, T_ext)[:, :, None]
+            ext = ext + np.einsum("mp,pq,aq->ma", h, w["w_h2"], T_ext)[:, :, None]
             g["w_h2"] = np.einsum("mab,mp,aq->pq", gext, h, T_ext)
-            g["label_embeddings"] += np.einsum("mab,mp,pq->aq", gext, h, p.w_h2)
+            g["label_embeddings"] += np.einsum("mab,mp,pq->aq", gext, h, w["w_h2"])
         return ext, g
     if p.family in DECOMPOSED:
         # word inputs of each factor; an out-of-range neighbor reads a zero
@@ -500,29 +522,30 @@ def reference_ext_and_grads(p, h, lat_grad):
                                         (nxt, "u_h3", M - 1)]}[p.family]
         F = []
         for X, name, boundary in words:
-            F.append(np.einsum("mp,pj->mj", X, getattr(p, name)))
+            F.append(np.einsum("mp,pj->mj", X, w[name]))
             if boundary is not None:
                 F[-1][boundary] = 1.0
         W = np.prod(F, axis=0)
-        ext = np.einsum("aq,qj,br,rj,mj->mab", T_ext, p.u_t1, T_cur, p.u_t2, W)
-        g["u_t1"] = np.einsum("mab,aq,br,rj,mj->qj", gext, T_ext, T_cur, p.u_t2, W)
-        g["u_t2"] = np.einsum("mab,aq,qj,br,mj->rj", gext, T_ext, p.u_t1, T_cur, W)
-        g["label_embeddings"] = np.einsum("mab,qj,br,rj,mj->aq", gext, p.u_t1, T_cur, p.u_t2, W)
+        ext = np.einsum("aq,qj,br,rj,mj->mab", T_ext, w["u_t1"], T_cur, w["u_t2"], W)
+        g["u_t1"] = np.einsum("mab,aq,br,rj,mj->qj", gext, T_ext, T_cur, w["u_t2"], W)
+        g["u_t2"] = np.einsum("mab,aq,qj,br,mj->rj", gext, T_ext, w["u_t1"], T_cur, W)
+        g["label_embeddings"] = np.einsum("mab,qj,br,rj,mj->aq",
+                                          gext, w["u_t1"], T_cur, w["u_t2"], W)
         g["label_embeddings"][:L] += np.einsum("mab,aq,qj,rj,mj->br",
-                                               gext, T_ext, p.u_t1, p.u_t2, W)
-        base = np.einsum("mab,aq,qj,br,rj->mj", gext, T_ext, p.u_t1, T_cur, p.u_t2)
+                                               gext, T_ext, w["u_t1"], w["u_t2"], W)
+        base = np.einsum("mab,aq,qj,br,rj->mj", gext, T_ext, w["u_t1"], T_cur, w["u_t2"])
         for k, (X, name, _) in enumerate(words):
             others = np.prod([F[i] for i in range(len(F)) if i != k] + [np.ones_like(W)], axis=0)
             g[name] = np.einsum("mp,mj,mj->pj", X, base, others)
         return ext, g
     if p.family is Family.TRILINEAR:
-        ext = np.einsum("mp,pqr,aq,br->mab", h, p.u_dense, T_ext, T_cur)
-        MM = np.einsum("mp,pqr->mqr", h, p.u_dense)
+        ext = np.einsum("mp,pqr,aq,br->mab", h, w["u_dense"], T_ext, T_cur)
+        MM = np.einsum("mp,pqr->mqr", h, w["u_dense"])
         g["u_dense"] = np.einsum("mp,mab,aq,br->pqr", h, gext, T_ext, T_cur)
         g["label_embeddings"] = np.einsum("mab,mqr,br->aq", gext, MM, T_cur)
         g["label_embeddings"][:L] += np.einsum("mab,mqr,aq->br", gext, MM, T_ext)
         return ext, g
-    w1 = p.mlp_w1
+    w1 = w["mlp_w1"]
     X = h
     if p.family is Family.CONCAT_MLP_2W2L:
         X = np.hstack([np.vstack([np.zeros((1, p.d_h)), h[:-1]]), h])
@@ -530,10 +553,10 @@ def reference_ext_and_grads(p, h, lat_grad):
     Z = ((X @ w1[:, :d_w].T)[:, None, None, :]
          + (T_ext @ w1[:, d_w: d_w + d_t].T)[None, :, None, :]
          + (T_cur @ w1[:, d_w + d_t:].T)[None, None, :, :]
-         + p.mlp_b1)
+         + w["mlp_b1"])
     U = np.tanh(Z)
-    ext = U @ p.mlp_w2[0]
-    dZ = gext[..., None] * (p.mlp_w2[0] * (1.0 - U * U))
+    ext = U @ w["mlp_w2"][0]
+    dZ = gext[..., None] * (w["mlp_w2"][0] * (1.0 - U * U))
     Sa, Sb = dZ.sum(axis=(0, 2)), dZ.sum(axis=(0, 1))
     g["mlp_w2"] = np.einsum("mab,mabh->h", gext, U)[None]
     g["mlp_b1"] = dZ.sum(axis=(0, 1, 2))

@@ -110,6 +110,20 @@ def test_train_rejects_zero_d_r():
         train(config, train_set, dev_set, table)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("metric", "bogus", "metric must be one of auto, span_f1, token_accuracy, got bogus"),
+    ("lr_decay", 0.0, "lr_decay must be positive"),
+    ("lr_decay", -0.5, "lr_decay must be positive"),
+    ("l2", -1e-8, "l2 must be at least 0"),
+    ("grad_clip", -1.0, "grad_clip must be at least 0"),
+    ("max_epochs", 0, "max_epochs must be at least 1"),
+    ("patience", 0, "patience must be at least 1"),
+])
+def test_train_config_rejects_bad_value(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+
+
 def test_train_learns_tiny_first_order_task():
     train_set, dev_set, _, table = tiny_corpus(n=40, seed=1)
     config = TrainConfig(family=Family.D_TRILINEAR, d_t=8, d_r=6, max_epochs=25,
@@ -144,7 +158,7 @@ def test_train_subsample_config_is_deterministic():
                          subsample_fraction=0.5, seed=6)
     a, _ = train(config, train_set, dev_set, table)
     b, _ = train(config, train_set, dev_set, table)
-    assert a.transition_table.tobytes() == b.transition_table.tobytes()
+    assert a.arrays["transition_table"].tobytes() == b.arrays["transition_table"].tobytes()
 
 
 def test_returned_params_achieve_best_recorded_metric():
