@@ -32,13 +32,7 @@ from .dataio import (
     write_conll,
 )
 from .evaluation import span_f1, summary_line
-from .inference import (
-    log_partition,
-    nll_and_grad,
-    nll_and_grad_batch,
-    pairwise_marginals,
-    viterbi,
-)
+from .inference import log_partition, nll_and_grad, pairwise_marginals, viterbi
 from .linalg import make_rng
 from .oracle import (
     brute_force_best_path,
@@ -54,7 +48,7 @@ from .potentials import (
     score_lattice,
     score_lattices,
 )
-from .training import TrainConfig, decode_paths, sgd_update, train
+from .training import TrainConfig, decode_paths, train, train_step
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -62,7 +56,7 @@ _PATH_KEYS = ("train_path", "dev_path", "test_path", "embeddings_path",
               "model_path", "output_path")
 _STR_KEYS = ("family", "scheme", "metric")
 _INT_KEYS = ("batch_size", "max_epochs", "patience", "d_t", "d_r",
-             "mlp_hidden", "seed", "threads")
+             "mlp_hidden", "seed")
 _FLOAT_KEYS = ("learning_rate", "l2", "subsample_fraction", "lr_decay",
                "grad_clip", "target_dev_metric")
 CONFIG_KEYS = frozenset(_PATH_KEYS + _STR_KEYS + _INT_KEYS + _FLOAT_KEYS)
@@ -130,18 +124,8 @@ def _apply_scheme(seqs, scheme):
 
 def cmd_train(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
-    for key in ("train_path", "dev_path", "embeddings_path", "model_path", "output_path"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    if args.family is not None:
-        cfg["family"] = args.family
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.subsample is not None:
-        cfg["subsample_fraction"] = args.subsample
-    if args.threads is not None:
-        cfg["threads"] = args.threads
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in CONFIG_KEYS and value is not None)
     _require(cfg, "train_path", "embeddings_path", "model_path", "family")
 
     scheme = cfg.get("scheme", "bioes")
@@ -173,12 +157,7 @@ def cmd_train(args) -> int:
 
 def cmd_tag(args) -> int:
     params, vocab = load_model(args.model)
-    table = load_embeddings(args.embeddings)
-    if table.dim != params.d_h:
-        raise ValueError(
-            "dimension mismatch: embeddings have d_h=%d, model wants %d"
-            % (table.dim, params.d_h)
-        )
+    table = load_embeddings(args.embeddings, expected_dim=params.d_h)
     seqs = read_conll(args.input)
     reps = [sequence_to_reps(seq, table) for seq in seqs]
     del table   # the reps are copies; free the table before the file's lattices exist
@@ -295,11 +274,9 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
               batch=32, reps=10, seed=0, warmup=2):
     """Mean wall time of one training step and of one batch decode.
 
-    Both run the path `train` and `tag` run.  A training step scores a
-    batch, computes its NLL gradients with `nll_and_grad_batch`, pulls
-    them back onto the parameters and applies an SGD update.  Decoding
-    scores the batch and decodes it with `decode_paths`; its time is
-    reported per sequence.
+    Both run the path `train` and `tag` run: a training step is one
+    `training.train_step` on the batch, and decoding scores the batch and
+    decodes it with `decode_paths`; its time is reported per sequence.
     """
     for name, value in (("length", length), ("batch", batch), ("reps", reps)):
         if value < 1:
@@ -318,11 +295,7 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
              for _ in range(batch)]
 
     def one_step():
-        lattices = score_lattices(params, reps_list)
-        results = nll_and_grad_batch(lattices, golds)
-        grad = backprop_lattices(params, reps_list, [r[1] for r in results])
-        grad.scale(1.0 / batch)
-        sgd_update(params, grad, 0.1, 1e-8)
+        train_step(params, reps_list, golds, 0.1, 1e-8)
 
     def one_decode_pass():
         decode_paths(params, score_lattices(params, reps_list))
@@ -414,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", dest="output_path")
     p.add_argument("--family")
     p.add_argument("--seed", type=int)
-    p.add_argument("--subsample", type=float)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--subsample", dest="subsample_fraction", type=float)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="tag a CoNLL file with a trained model")

@@ -109,6 +109,15 @@ def path_score(lat, labels) -> float:
     return float(s)
 
 
+def _check_gold(lat, gold):
+    M, L, _ = lat.shape
+    if len(gold) != M:
+        raise ValueError("gold path length %d does not match lattice length %d" % (len(gold), M))
+    for y in gold:
+        if not 0 <= y < L:
+            raise ValueError("invalid label index %r for %d labels" % (y, L))
+
+
 def nll_and_grad(lat, gold):
     """Negative log-likelihood of `gold` and its lattice gradient.
 
@@ -117,19 +126,14 @@ def nll_and_grad(lat, gold):
     distribution.
     """
     lat = _check_lattice(lat)
-    M, L, _ = lat.shape
     gold = list(gold)
-    if len(gold) != M:
-        raise ValueError("gold path length %d does not match lattice length %d" % (len(gold), M))
-    for y in gold:
-        if not 0 <= y < L:
-            raise ValueError("invalid label index %r for %d labels" % (y, L))
+    _check_gold(lat, gold)
     alpha = _forward(lat)
     beta = _backward(lat)
     log_z = log_sum_exp(alpha[-1])
     grad = _marginals_from_messages(lat, alpha, beta, log_z)
     grad[0, 0, gold[0]] -= 1.0
-    for m in range(1, M):
+    for m in range(1, len(gold)):
         grad[m, gold[m - 1], gold[m]] -= 1.0
     return log_z - path_score(lat, gold), grad
 
@@ -234,13 +238,7 @@ def nll_and_grad_batch(lattices, golds) -> list:
     if len(golds) != len(lats):
         raise ValueError("got %d lattices but %d gold paths" % (len(lats), len(golds)))
     for lat, gold in zip(lats, golds):
-        M, L, _ = lat.shape
-        if len(gold) != M:
-            raise ValueError("gold path length %d does not match lattice length %d"
-                             % (len(gold), M))
-        for y in gold:
-            if not 0 <= y < L:
-                raise ValueError("invalid label index %r for %d labels" % (y, L))
+        _check_gold(lat, gold)
     out = [None] * len(lats)
     for idx, lat, lengths, active in _chunks(lats):
         B, T, L, _ = lat.shape

@@ -231,7 +231,8 @@ def init_params(family, num_labels, d_h, seed, d_t=0, d_r=0, mlp_hidden=128) -> 
     Representation vectors are assumed to be of roughly unit norm.
     """
     family = Family(family)
-    used = (("d_t", d_t, family in EMBEDDING_FAMILIES),
+    used = (("num_labels", num_labels, True), ("d_h", d_h, True),
+            ("d_t", d_t, family in EMBEDDING_FAMILIES),
             ("d_r", d_r, family in _FACTOR_COUNT),
             ("mlp_hidden", mlp_hidden, family in MLP_FAMILIES))
     for name, size, needed in used:

@@ -2,15 +2,13 @@
 
 Training is deterministic for a fixed (config, data, seed): parameters
 are initialized from the seed, each epoch shuffles with an epoch-derived
-generator, and gradients are reduced in sequence order even when a
-thread pool computes them.
+generator, and each minibatch takes one `train_step`.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +53,7 @@ class TrainConfig:
     subsample_fraction: float = 1.0
     lr_decay: float = 1.0       # per-epoch multiplicative factor; 1.0 = constant
     grad_clip: float = 0.0      # max L2 norm of the batch gradient; 0 = off
-    threads: int = 1
+    threads: int = 1            # only 1; kept for callers that still pass it
     metric: str = METRIC_AUTO
     target_dev_metric: float | None = None
 
@@ -65,6 +63,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.lr_decay <= 0:
             raise ValueError("lr_decay must be positive")
+        if self.threads != 1:
+            raise ValueError("threads must be 1: the threaded NLL step was removed")
         for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 1),
                             ("l2", 0), ("grad_clip", 0)):
             if getattr(self, name) < least:
@@ -146,13 +146,6 @@ def _epoch_rng(seed, epoch):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(epoch,)))
 
 
-def _as_provider(reps_provider):
-    if isinstance(reps_provider, EmbeddingTable):
-        table = reps_provider
-        return lambda seq: sequence_to_reps(seq, table)
-    return reps_provider
-
-
 def decode_paths(params, lattices):
     if params.family is Family.SOFTMAX:
         return [decode_softmax(lat).labels for lat in lattices]
@@ -192,33 +185,54 @@ def sgd_update(params, grad, lr, l2):
             np.subtract(t, gb, out=t)
 
 
-def train(config: TrainConfig, train_set, dev_set, reps_provider,
-          vocab=None, verbose=False, log=print):
+def train_step(params, reps, golds, lr, l2, grad_clip=0.0):
+    """One minibatch SGD step on `params`, in place; returns the summed loss.
+
+    Scores the batch, takes each sequence's NLL gradient, pulls them back
+    onto the parameters, averages over the batch, rescales the mean to L2
+    norm `grad_clip` when it is longer (0 = off) and applies
+    theta <- theta - lr * (grad + l2 * theta).  A non-finite loss is
+    returned with `params` left untouched.
+    """
+    lattices = score_lattices(params, reps)
+    results = nll_and_grad_batch(lattices, golds)
+    loss = sum(r[0] for r in results)
+    if not np.isfinite(loss):
+        return loss
+    grad = backprop_lattices(params, reps, [r[1] for r in results])
+    grad.scale(1.0 / len(reps))
+    if grad_clip > 0.0:
+        norm = grad.norm()
+        if norm > grad_clip:
+            grad.scale(grad_clip / norm)
+    sgd_update(params, grad, lr, l2)
+    return loss
+
+
+def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
+          vocab=None, verbose=False):
     """Train one model; returns (best parameters, report).
 
-    Per minibatch the lattice gradients of every sequence are pulled back
-    onto the parameters, averaged over the batch, and applied together
-    with the L2 term as theta <- theta - lr * (grad + l2 * theta).  The
-    dev metric is evaluated every epoch and the parameters of the best
-    epoch are returned; with an empty dev set training runs to
-    max_epochs and returns the final parameters.
+    Each minibatch takes one `train_step`.  The dev metric is evaluated
+    every epoch and the parameters of the best epoch are returned; with
+    an empty dev set training runs to max_epochs and returns the final
+    parameters.
     """
     train_set = list(train_set)
     if not train_set:
         raise ValueError("empty training data")
     if config.subsample_fraction < 1.0:
         train_set = subsample(train_set, config.subsample_fraction, config.seed)
-    provider = _as_provider(reps_provider)
     if vocab is None:
         vocab = build_label_vocab(train_set)
     metric = config.metric
     if metric == METRIC_AUTO:
         metric = METRIC_TOKEN_ACCURACY if vocab.scheme == SCHEME_PLAIN else METRIC_SPAN_F1
 
-    reps = [provider(seq) for seq in train_set]
+    reps = [sequence_to_reps(seq, table) for seq in train_set]
     gold = [vocab.indices(seq.labels) for seq in train_set]
     dev_set = list(dev_set) if dev_set is not None else []
-    dev_reps = [provider(seq) for seq in dev_set]
+    dev_reps = [sequence_to_reps(seq, table) for seq in dev_set]
     for seq in dev_set:
         vocab.indices(seq.labels)   # unseen dev labels fail loudly here
 
@@ -231,68 +245,44 @@ def train(config: TrainConfig, train_set, dev_set, reps_provider,
     best_metric = -math.inf
     since_best = 0
     n = len(train_set)
-    pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
-    try:
-        for epoch in range(config.max_epochs):
-            t0 = time.perf_counter()
-            order = _epoch_rng(config.seed, epoch).permutation(n)
-            lr = config.learning_rate * (config.lr_decay ** epoch)
-            total_loss = 0.0
-            for b, lo in enumerate(range(0, n, config.batch_size)):
-                batch = order[lo: lo + config.batch_size]
-                batch_reps = [reps[k] for k in batch]
-                lattices = score_lattices(params, batch_reps)
-                batch_gold = [gold[k] for k in batch]
-                if pool is not None:
-                    # `threads` contiguous slices, joined in batch order
-                    cuts = [len(batch) * t // config.threads
-                            for t in range(config.threads + 1)]
-                    parts = pool.map(
-                        lambda lo, hi: nll_and_grad_batch(lattices[lo:hi], batch_gold[lo:hi]),
-                        cuts[:-1], cuts[1:])
-                    results = [r for part in parts for r in part]
-                else:
-                    results = nll_and_grad_batch(lattices, batch_gold)
-                losses = [r[0] for r in results]
-                if not np.isfinite(sum(losses)):
-                    raise TrainingDiverged(None, epoch, b)
-                total_loss += sum(losses)
-                grad = backprop_lattices(params, batch_reps, [r[1] for r in results])
-                grad.scale(1.0 / len(batch))
-                if config.grad_clip > 0.0:
-                    norm = grad.norm()
-                    if norm > config.grad_clip:
-                        grad.scale(config.grad_clip / norm)
-                sgd_update(params, grad, lr, config.l2)
-                for name, arr in params.param_items():
-                    if not np.all(np.isfinite(arr)):
-                        raise TrainingDiverged(name, epoch, b)
-            mean_loss = total_loss / n
-            dev_metric = (
-                evaluate_model(params, dev_set, dev_reps, vocab, metric)
-                if dev_set else float("nan")
-            )
-            rec = EpochRecord(epoch=epoch, train_loss=mean_loss,
-                              dev_metric=dev_metric,
-                              seconds=time.perf_counter() - t0)
-            report.epochs.append(rec)
-            if verbose:
-                log(report.line(rec))
-            if dev_set:
-                if dev_metric > best_metric:
-                    best_metric = dev_metric
-                    best_params = params.copy()
-                    report.best_epoch = epoch
-                    since_best = 0
-                else:
-                    since_best += 1
-                if config.target_dev_metric is not None and dev_metric >= config.target_dev_metric:
-                    break
-                if since_best >= config.patience:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(config.max_epochs):
+        t0 = time.perf_counter()
+        order = _epoch_rng(config.seed, epoch).permutation(n)
+        lr = config.learning_rate * (config.lr_decay ** epoch)
+        total_loss = 0.0
+        for b, lo in enumerate(range(0, n, config.batch_size)):
+            batch = order[lo: lo + config.batch_size]
+            loss = train_step(params, [reps[k] for k in batch], [gold[k] for k in batch],
+                              lr, config.l2, config.grad_clip)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(None, epoch, b)
+            total_loss += loss
+            for name, arr in params.param_items():
+                if not np.all(np.isfinite(arr)):
+                    raise TrainingDiverged(name, epoch, b)
+        mean_loss = total_loss / n
+        dev_metric = (
+            evaluate_model(params, dev_set, dev_reps, vocab, metric)
+            if dev_set else float("nan")
+        )
+        rec = EpochRecord(epoch=epoch, train_loss=mean_loss,
+                          dev_metric=dev_metric,
+                          seconds=time.perf_counter() - t0)
+        report.epochs.append(rec)
+        if verbose:
+            print(report.line(rec))
+        if dev_set:
+            if dev_metric > best_metric:
+                best_metric = dev_metric
+                best_params = params.copy()
+                report.best_epoch = epoch
+                since_best = 0
+            else:
+                since_best += 1
+            if config.target_dev_metric is not None and dev_metric >= config.target_dev_metric:
+                break
+            if since_best >= config.patience:
+                break
     if not dev_set:
         best_params = params
         report.best_epoch = len(report.epochs) - 1

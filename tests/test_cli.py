@@ -196,6 +196,21 @@ def test_train_subsample_flag(tmp_path, capsys):
     assert len(report) == 2
 
 
+def test_train_threads_config_key_unknown_exit_2(tmp_path, capsys):
+    paths = write_corpus(tmp_path, n=10)
+    config_path, cfg = base_config(tmp_path, paths, threads=2)
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert "unknown key: threads" in capsys.readouterr().err
+    assert not os.path.exists(cfg["model_path"])
+
+
+def test_train_threads_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--threads", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_tag_empty_input(tmp_path, capsys):
     paths = write_corpus(tmp_path)
     config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
@@ -253,6 +268,18 @@ def test_tag_malformed_embedding_row_exit_1(tmp_path, capsys, bad_row, message):
     assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(broken),
                  "--input", str(paths["test"]), "--output", str(tmp_path / "out.conll")]) == 1
     assert "error: line 4: %s" % message in capsys.readouterr().err
+
+
+def test_tag_embedding_width_differs_from_model_exit_1(tmp_path, capsys):
+    paths = write_corpus(tmp_path)
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
+    assert main(["train", "--config", str(config_path)]) == 0
+    narrow = tmp_path / "narrow_emb.txt"
+    narrow.write_text("w0 0.5 0.5 0.5\nw1 0.5 0.5 0.5\n")
+    capsys.readouterr()
+    assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(narrow),
+                 "--input", str(paths["test"]), "--output", str(tmp_path / "out.conll")]) == 1
+    assert "error: line 1: expected 10 dimensions, got 3" in capsys.readouterr().err
 
 
 def test_tag_inconsistent_model_exit_1(tmp_path, capsys):
@@ -392,11 +419,13 @@ def test_bench_json_rows_and_environment(tmp_path, capsys):
                                   "batch": 2, "reps": 1, "seed": 0}
 
 
-@pytest.mark.parametrize("flag", ["--reps", "--batch", "--length"])
+@pytest.mark.parametrize("flag", ["--reps", "--batch", "--length", "--labels", "--d-h"])
 def test_bench_rejects_size_below_one_exit_1(capsys, flag):
     assert main(["bench", "--family", "vanilla-crf", "--labels", "3", "--d-h", "4",
                  "--length", "3", "--batch", "2", "--reps", "1", flag, "0"]) == 1
-    assert "%s must be at least 1, got 0" % flag[2:] in capsys.readouterr().err
+    message = {"--labels": "num_labels must be positive for vanilla-crf, got 0",
+               "--d-h": "d_h must be positive for vanilla-crf, got 0"}
+    assert message.get(flag, "%s must be at least 1, got 0" % flag[2:]) in capsys.readouterr().err
 
 
 def test_bench_degenerate_length_one():

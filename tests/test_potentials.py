@@ -317,16 +317,17 @@ def test_param_grad_zeros_mirrors_fields():
 
 ZERO_SIZES = ([(f, "d_t") for f in Family if f in EMBEDDING_FAMILIES]
               + [(f, "d_r") for f in DECOMPOSED]
-              + [(f, "mlp_hidden") for f in Family if f in MLP_FAMILIES])
+              + [(f, "mlp_hidden") for f in Family if f in MLP_FAMILIES]
+              + [(f, size) for f in Family for size in ("num_labels", "d_h")])
 
 
 @pytest.mark.parametrize("family,size", ZERO_SIZES, ids=lambda v: getattr(v, "value", v))
 def test_init_params_rejects_zero_size(family, size):
-    sizes = dict(d_t=4, d_r=3, mlp_hidden=8)
+    sizes = dict(num_labels=4, d_h=5, d_t=4, d_r=3, mlp_hidden=8)
     sizes[size] = 0
     with pytest.raises(ValueError, match="%s must be positive for %s, got 0"
                        % (size, family.value)):
-        init_params(family, 4, 5, seed=0, **sizes)
+        init_params(family, seed=0, **sizes)
 
 
 @pytest.mark.parametrize("family", [Family.SOFTMAX, Family.VANILLA_CRF], ids=lambda f: f.value)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from chaincrf import (
+    EmbeddingTable,
     Family,
-    RepresentationSequence,
     SyntheticSpec,
     TokenSequence,
     TrainConfig,
@@ -100,7 +100,7 @@ def test_subsample_rejects_bad_fraction():
 
 def test_train_rejects_empty_data():
     with pytest.raises(ValueError, match="empty training data"):
-        train(TrainConfig(family=Family.VANILLA_CRF), [], [], lambda s: None)
+        train(TrainConfig(family=Family.VANILLA_CRF), [], [], None)
 
 
 def test_train_rejects_zero_d_r():
@@ -143,13 +143,10 @@ def test_train_deterministic_bit_identical():
         assert arr_a.tobytes() == arr_b.tobytes(), name
 
 
-def test_train_threaded_matches_serial():
-    train_set, dev_set, _, table = tiny_corpus(n=10, seed=3)
-    base = dict(family=Family.VANILLA_CRF, max_epochs=2, batch_size=4, seed=4)
-    a, _ = train(TrainConfig(**base), train_set, dev_set, table)
-    b, _ = train(TrainConfig(**base, threads=2), train_set, dev_set, table)
-    for (name, arr_a), (_, arr_b) in zip(a.param_items(), b.param_items()):
-        assert arr_a.tobytes() == arr_b.tobytes(), name
+def test_train_config_rejects_threads_above_one():
+    assert TrainConfig(threads=1).threads == 1
+    with pytest.raises(ValueError, match="threads must be 1: the threaded NLL step was removed"):
+        TrainConfig(threads=2)
 
 
 def test_train_subsample_config_is_deterministic():
@@ -205,11 +202,9 @@ def test_train_diverges_raises():
 
 
 def test_train_non_finite_loss_raises():
-    train_set, dev_set, _, _ = tiny_corpus(n=6, seed=9)
-
-    def huge(seq):
-        return RepresentationSequence.from_array(np.full((len(seq.tokens), 10), 1e300))
-
+    train_set, dev_set, _, table = tiny_corpus(n=6, seed=9)
+    huge = EmbeddingTable(dim=table.dim, unk=np.full(table.dim, 1e300),
+                          vectors={tok: np.full(table.dim, 1e300) for tok in table.vectors})
     config = TrainConfig(family=Family.VANILLA_CRF, max_epochs=3, seed=1)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
         train(config, train_set, dev_set, huge)
