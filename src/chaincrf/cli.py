@@ -48,7 +48,7 @@ from .potentials import (
     score_lattice,
     score_lattices,
 )
-from .training import TrainConfig, decode_paths, train, train_step
+from .training import TrainConfig, decode_paths, predict_paths, train, train_step
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -160,10 +160,9 @@ def cmd_tag(args) -> int:
     table = load_embeddings(args.embeddings, expected_dim=params.d_h)
     seqs = read_conll(args.input)
     reps = [sequence_to_reps(seq, table) for seq in seqs]
-    del table   # the reps are copies; free the table before the file's lattices exist
-    lattices = score_lattices(params, reps) if seqs else []
+    del table   # the reps are copies; free the table before any lattice exists
     tagged = []
-    for seq, path in zip(seqs, decode_paths(params, lattices)):
+    for seq, path in zip(seqs, predict_paths(params, reps)):
         tagged.append(dataio.TokenSequence(tokens=seq.tokens,
                                            labels=[vocab.labels[k] for k in path]))
     write_conll(tagged, args.output)

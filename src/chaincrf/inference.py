@@ -155,9 +155,22 @@ def decode_softmax(lat) -> DecodeResult:
 # ---------------------------------------------------------------------------
 
 # Cells (sequences x positions x L x L) of one chunk's zero-padded lattice
-# buffer: 2**21 float64 cells are 16 MB.  The bound keeps a whole-file
-# batch from holding a second full copy of its lattices.
+# buffer and of one block of `cell_blocks`: 2**21 float64 cells are 16 MB.
+# The bound keeps a whole file from holding a second copy of its lattices.
 CHUNK_CELLS = 1 << 21
+
+
+def cell_blocks(lengths, num_labels) -> list:
+    """(lo, hi) bounds of the blocks of a batch of sequences of `lengths`:
+    runs of whole sequences with at most CHUNK_CELLS lattice cells, cut
+    greedily in input order (a larger sequence is a block of its own)."""
+    blocks, lo, cells = [], 0, 0
+    for i, m in enumerate(lengths):
+        if i > lo and cells + m * num_labels * num_labels > CHUNK_CELLS:
+            blocks.append((lo, i))
+            lo, cells = i, 0
+        cells += m * num_labels * num_labels
+    return blocks + [(lo, len(lengths))] if lengths else []
 
 
 def _check_batch(lattices) -> list:

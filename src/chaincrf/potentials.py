@@ -23,27 +23,33 @@ positions degrade to the next-lower-order potential instead of vanishing.
 The concat-MLP-2w2l family instead concatenates an all-zero vector for the
 word before the sentence.
 
-Batches.  Every family scores and pulls back a whole batch in one pass:
-the sequences are stacked along the position axis, neighbor words are
-shifted within each sequence only, and each sequence's first position gets
-its BOS-conditioned row separately.  The concat-MLP pre-activation splits
-into a word part and a label part (computed once per call).  The word part
-depends only on the position's word input (`h`, or `[h_prev, h]` for
-2w2l), so it is computed once per distinct input row of the batch (rows
-are equal when their bytes are): scoring gathers the distinct rows' scores
-into every position, and the pullback first sums the lattice-gradient rows
-of each distinct input.  The (rows, L, L, hidden) tanh activations are
-formed in blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole
-batch, and the pullback recomputes them block by block.
+Batches.  Every family pulls back a whole batch in one pass, and scores
+it in blocks: runs of whole sequences with at most `inference.CHUNK_CELLS`
+lattice cells, each written into its rows of one output buffer (a typical
+training batch is one block).  Within a pass the sequences are stacked
+along the position axis, neighbor words are shifted within each sequence
+only, and each sequence's first position gets its BOS-conditioned row
+separately; the stacked rows and word factors of scoring exist for one
+block at a time.  The concat-MLP pre-activation splits into a word part
+and a label part (computed once per call).  The word part depends only
+on the position's word input (`h`, or `[h_prev, h]` for 2w2l), so it is
+computed once per distinct input row of the pass (rows are equal when
+their bytes are): scoring gathers the distinct rows' scores into every
+position, and the pullback first sums the lattice-gradient rows of each
+distinct input.  The (rows, L, L, hidden) tanh activations are formed in
+blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole batch,
+and the pullback recomputes them block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
+from .inference import cell_blocks
 from .linalg import glorot, make_rng
 
 
@@ -345,10 +351,6 @@ def _stack(reps_list):
     for reps in reps_list:
         spans.append((start, start + reps.length))
         start += reps.length
-    if not np.isfinite(h_all).all():
-        row = int(np.argmin(np.isfinite(h_all).all(axis=1)))
-        k = next(k for k, (s, e) in enumerate(spans) if row < e)
-        raise ValueError("non-finite representation in sequence %d of the batch" % k)
     return h_all, spans
 
 
@@ -463,15 +465,18 @@ def _mlp_pullback(Zw, Zl, w2, grad):
     return g_w2, S_w, S_l
 
 
-def _check_inputs(params, reps_list):
-    """Checks shared by scoring and the pullback: parameters and d_h."""
+def check_inputs(params, reps_list):
+    """Checks shared by scoring and the pullback: parameters, d_h, and
+    finite representations, a bad one named by its index in `reps_list`."""
     params.validate()
-    for reps in reps_list:
+    for k, reps in enumerate(reps_list):
         if reps.d_h != params.d_h:
             raise ValueError(
                 "dimension mismatch: representations have d_h=%d, model wants %d"
                 % (reps.d_h, params.d_h)
             )
+        if not np.isfinite(reps.h).all():
+            raise ValueError("non-finite representation in sequence %d of the batch" % k)
 
 
 def score_lattices(params: ModelParams, reps_list) -> list:
@@ -480,33 +485,46 @@ def score_lattices(params: ModelParams, reps_list) -> list:
     Sequence-independent work (label-side factor products, folded
     tensors, label pre-activations) is done once per call, which is what
     makes decoding with the decomposed families nearly as cheap as with
-    the vanilla CRF.  All sequences are concatenated along the position
-    axis so the heavy contraction runs once over the batch (one GEMM per
-    word term, or one blocked pass for the MLP); each returned lattice is
-    a view into one shared buffer.  Position 0 of every sequence is
-    overwritten with its BOS-conditioned row broadcast.  Raises
-    ValueError naming the sequence if a representation is not finite.
+    the vanilla CRF.  Each block of `cell_blocks` (at most `CHUNK_CELLS`
+    lattice cells) is stacked along the position axis so its heavy
+    contraction runs once (one GEMM per word term, or one blocked pass for
+    the MLP); the stacked rows and word factors of one block exist at a
+    time.  Each returned lattice is a view into one shared buffer.
+    Position 0 of every sequence is overwritten with its BOS-conditioned
+    row broadcast.  Raises ValueError naming the sequence if a
+    representation is not finite.
     """
-    _check_inputs(params, reps_list)
+    check_inputs(params, reps_list)
     if not reps_list:
         return []
     pre = _precompute(params)
+    L = params.num_labels
+    lengths = [reps.length for reps in reps_list]
+    bounds = [0, *accumulate(lengths)]    # first row of each sequence, then the end
+    flat = np.empty((bounds[-1], L, L))
+    for lo, hi in cell_blocks(lengths, L):
+        _score_block(params, pre, reps_list[lo:hi], flat[bounds[lo]: bounds[hi]])
+    return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
+
+
+def _score_block(params, pre, reps_list, flat):
+    """Write the lattices of the stacked `reps_list` into `flat` (rows, L, L)."""
     h_all, spans = _stack(reps_list)
     L = params.num_labels
     f = params.family
     w = params.arrays
     starts = [s for s, _ in spans]
-    flat = np.empty((h_all.shape[0], L, L))
     if f in (Family.D_TRILINEAR, Family.TRILINEAR):
         np.matmul(h_all, pre["A_cur"], out=flat.reshape(-1, L * L))
         bos = h_all[starts] @ pre["A_bos"]
     elif f in MLP_FAMILIES:
         # score each distinct word input once, then gather per position
+        # ("clip" writes `out` in place: "raise" would buffer a copy of it)
         X, inverse = _mlp_words(params, h_all, spans)
         Zw = X @ pre["w1_words"].T
         w2 = w["mlp_w2"][0]
         scores = _mlp_scores(Zw, pre["Z_cur"], w2, np.empty((len(X), L * L)))
-        np.take(scores, inverse, axis=0, out=flat.reshape(-1, L * L))
+        np.take(scores, inverse, axis=0, out=flat.reshape(-1, L * L), mode="clip")
         bos_rows, bos_inverse = np.unique(inverse[starts], return_inverse=True)
         bos = _mlp_scores(Zw[bos_rows], pre["Z_bos"], w2, np.empty((len(bos_rows), L)))
         bos = bos[bos_inverse]
@@ -530,7 +548,6 @@ def score_lattices(params: ModelParams, reps_list) -> list:
             bos += row[starts, L][:, None]
     for k, (s, e) in enumerate(spans):
         flat[s] = bos[k]
-    return [flat[s:e] for s, e in spans]
 
 
 def score_lattice(params: ModelParams, reps: RepresentationSequence) -> np.ndarray:
@@ -681,7 +698,7 @@ def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
     gradient.  The reduction over sequences is deterministic (stacked,
     position order) so results are reproducible.
     """
-    _check_inputs(params, reps_list)
+    check_inputs(params, reps_list)
     if len(reps_list) != len(lat_grads):
         raise ValueError("got %d sequences but %d gradients" % (len(reps_list), len(lat_grads)))
     out = ParamGrad.zeros(params)

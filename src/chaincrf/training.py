@@ -23,6 +23,7 @@ from .evaluation import span_f1
 # perfbench's tracer wraps `nll_and_grad` and `viterbi` in this module's
 # namespace, so they stay imported although nothing here calls them.
 from .inference import (  # noqa: F401
+    cell_blocks,
     decode_softmax,
     nll_and_grad,
     nll_and_grad_batch,
@@ -30,7 +31,7 @@ from .inference import (  # noqa: F401
     viterbi_batch,
 )
 from .linalg import make_rng
-from .potentials import Family, backprop_lattices, init_params, score_lattices
+from .potentials import Family, backprop_lattices, check_inputs, init_params, score_lattices
 
 METRIC_AUTO = "auto"
 METRIC_SPAN_F1 = "span_f1"
@@ -152,10 +153,20 @@ def decode_paths(params, lattices):
     return [res.labels for res in viterbi_batch(lattices)]
 
 
+def predict_paths(params, reps_list):
+    """`decode_paths(params, score_lattices(params, reps_list))`, scored and
+    decoded one block of `cell_blocks` at a time: one block's lattices exist
+    at once."""
+    check_inputs(params, reps_list)    # names a bad sequence by its index here
+    paths = []
+    for lo, hi in cell_blocks([reps.length for reps in reps_list], params.num_labels):
+        paths += decode_paths(params, score_lattices(params, reps_list[lo:hi]))
+    return paths
+
+
 def evaluate_model(params, seqs, reps_list, vocab, metric):
     """Dev metric of `params` on labeled sequences with cached reps."""
-    lattices = score_lattices(params, reps_list)
-    pred = [[vocab.labels[k] for k in path] for path in decode_paths(params, lattices)]
+    pred = [[vocab.labels[k] for k in path] for path in predict_paths(params, reps_list)]
     gold = [seq.labels for seq in seqs]
     result = span_f1(gold, pred, scheme=vocab.scheme)
     return result.f1 if metric == METRIC_SPAN_F1 else result.token_accuracy

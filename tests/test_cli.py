@@ -1,5 +1,6 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ from chaincrf import (
     Family,
     SyntheticSpec,
     generate_synthetic,
+    load_embeddings,
     load_model,
     read_conll,
+    score_lattices,
+    sequence_to_reps,
     write_conll,
     write_embeddings,
 )
+from chaincrf import inference, training
 from chaincrf.cli import (
     ConfigError,
     dump_config,
@@ -20,6 +25,7 @@ from chaincrf.cli import (
     parse_config,
     run_bench,
 )
+from chaincrf.training import decode_paths
 
 
 def write_corpus(tmp_path, seed=0, n=80):
@@ -221,6 +227,36 @@ def test_tag_empty_input(tmp_path, capsys):
     assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(paths["emb"]),
                  "--input", str(empty), "--output", str(out)]) == 0
     assert read_conll(out) == []
+    capsys.readouterr()
+
+
+def test_tag_in_blocks_matches_whole_list_decode(tmp_path, capsys):
+    paths = write_corpus(tmp_path)
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=2)
+    assert main(["train", "--config", str(config_path)]) == 0
+    params, vocab = load_model(cfg["model_path"])
+    table = load_embeddings(paths["emb"])
+    seqs = read_conll(paths["test"])
+    reps = [sequence_to_reps(seq, table) for seq in seqs]
+    want = [[vocab.labels[k] for k in path]
+            for path in decode_paths(params, score_lattices(params, reps))]
+    out = tmp_path / "tagged.conll"
+    L = params.num_labels
+    with mock.patch.object(inference, "CHUNK_CELLS", 6 * L * L), \
+            mock.patch.object(training, "score_lattices", wraps=score_lattices) as scored:
+        blocks = inference.cell_blocks([r.length for r in reps], L)
+        assert len(blocks) >= 3
+        assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(paths["emb"]),
+                     "--input", str(paths["test"]), "--output", str(out)]) == 0
+        assert scored.call_count == len(blocks)
+        empty, empty_out = tmp_path / "empty.conll", tmp_path / "empty_tagged.conll"
+        empty.write_text("")
+        assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(paths["emb"]),
+                     "--input", str(empty), "--output", str(empty_out)]) == 0
+    tagged = read_conll(out)
+    assert [s.tokens for s in tagged] == [s.tokens for s in seqs]
+    assert [s.labels for s in tagged] == want
+    assert empty_out.read_text() == ""
     capsys.readouterr()
 
 

@@ -287,3 +287,13 @@ def test_batch_rejects_bad_input():
         nll_and_grad_batch([np.zeros((2, 3, 3))], [[-1, 0]])
     with pytest.raises(ValueError, match="2 lattices but 1 gold"):
         nll_and_grad_batch([np.zeros((2, 3, 3))] * 2, [[0, 0]])
+
+
+def test_cell_blocks_cut_greedily_in_input_order():
+    # L = 2: 4 cells per position, a budget of 5 positions
+    with mock.patch.object(inference, "CHUNK_CELLS", 20):
+        assert inference.cell_blocks([2, 3, 1, 7, 5, 1], 2) == [
+            (0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+        assert inference.cell_blocks([5, 5], 2) == [(0, 1), (1, 2)]
+        assert inference.cell_blocks([1] * 5, 2) == [(0, 5)]
+        assert inference.cell_blocks([], 2) == []

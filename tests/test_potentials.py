@@ -19,9 +19,10 @@ from chaincrf import (
     score_lattice,
     score_lattices,
 )
-from chaincrf import potentials
+from chaincrf import inference, potentials
 from chaincrf.cli import max_relative_error
 from chaincrf.potentials import EMBEDDING_FAMILIES, MLP_FAMILIES, ParamGrad
+from chaincrf.training import decode_paths, predict_paths
 
 from helpers import SMALL, random_reps, small_params, small_reps
 
@@ -426,6 +427,27 @@ def test_non_finite_representation_names_sequence(bad):
             backprop_lattices(p, reps_list, grads)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_representation_in_later_block_names_sequence(bad):
+    # a budget of 6 positions cuts (3, 2 | 4 | 5 | 2, 3) into 4 blocks; the
+    # bad sequence is counted over the whole list, not within its block
+    L = SMALL["num_labels"]
+    reps_list = [random_reps(m, SMALL["d_h"], seed=90 + k)
+                 for k, m in enumerate((3, 2, 4, 5, 2, 3))]
+    reps_list[5].h[2, 0] = bad
+    grads = [np.zeros((r.length, L, L)) for r in reps_list]
+    with mock.patch.object(inference, "CHUNK_CELLS", 6 * L * L):
+        assert inference.cell_blocks([r.length for r in reps_list], L) == [
+            (0, 2), (2, 3), (3, 4), (4, 6)]
+        for family in ALL_FAMILIES:
+            p = small_params(family)
+            for run in (lambda: score_lattices(p, reps_list),
+                        lambda: predict_paths(p, reps_list),
+                        lambda: backprop_lattices(p, reps_list, grads)):
+                with pytest.raises(ValueError, match="non-finite representation in sequence 5 "):
+                    run()
+
+
 @pytest.mark.parametrize("family", MLP, ids=lambda f: f.value)
 def test_mlp_one_position_blocks_match_default(family):
     # a one-cell budget makes every position (and every BOS row) its own block
@@ -585,6 +607,32 @@ def test_stacked_path_matches_per_sequence_reference(family):
     got = backprop_lattices(p, reps_list, grads)
     for name, arr in want.items():
         np.testing.assert_allclose(got.arrays[name], arr, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_blocked_scoring_and_prediction_match_whole_batch(family):
+    # a budget of 8 positions cuts the batch into 6 blocks, one of them a
+    # 9-position sequence larger than the budget
+    p = small_params(family, seed=13)
+    L = SMALL["num_labels"]
+    lengths = (4, 1, 9, 2, 5, 3, 1, 6, 8)
+    reps_list = [random_reps(m, SMALL["d_h"], seed=80 + k) for k, m in enumerate(lengths)]
+    with mock.patch.object(inference, "CHUNK_CELLS", 8 * L * L):
+        blocks = inference.cell_blocks(lengths, L)
+        assert blocks == [(0, 2), (2, 3), (3, 5), (5, 7), (7, 8), (8, 9)]
+        lats = score_lattices(p, reps_list)
+        for lo, hi in blocks:
+            alone = score_lattices(p, reps_list[lo:hi])
+            assert [a.tobytes() for a in lats[lo:hi]] == [a.tobytes() for a in alone]
+        paths = predict_paths(p, reps_list)
+        assert paths == decode_paths(p, lats)
+        assert predict_paths(p, []) == []
+    assert paths == decode_paths(p, score_lattices(p, reps_list))
+    for reps, lat in zip(reps_list, lats):
+        ext, _ = reference_ext_and_grads(p, reps.h, np.zeros_like(lat))
+        np.testing.assert_allclose(lat[0], np.broadcast_to(ext[0, L], (L, L)),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lat[1:], ext[1:, :L], rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

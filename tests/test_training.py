@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from chaincrf import (
     EmbeddingTable,
     Family,
+    RepresentationSequence,
     SyntheticSpec,
     TokenSequence,
     TrainConfig,
@@ -23,9 +25,9 @@ from chaincrf import (
     subsample,
     train,
 )
-from chaincrf import training
+from chaincrf import inference, potentials, training
 from chaincrf.potentials import ParamGrad
-from chaincrf.training import evaluate_model, sgd_update
+from chaincrf.training import evaluate_model, predict_paths, sgd_update
 
 
 def tiny_corpus(n=12, seed=0):
@@ -238,3 +240,31 @@ def test_sgd_update_matches_expression_bit_for_bit(block):
                    0.3, 1e-2)
     for name, arr in params.param_items():
         assert arr.tobytes() == want[name].tobytes(), name
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc (numpy reports its buffers to it) sees
+    while `fn` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_predict_paths_memory_stays_within_two_blocks(family):
+    # 10 blocks of 1000 positions.  Decoding a block holds its lattices,
+    # their padded Viterbi copy and back pointers (1/L of a block), so the
+    # peak stays near two blocks; whole-batch scoring holds all ten.
+    L, d_h = 17, 4
+    p = init_params(family, L, d_h, seed=2, d_t=4, d_r=3, mlp_hidden=4)
+    reps = [RepresentationSequence.from_array(make_rng(k).standard_normal((20, d_h)))
+            for k in range(500)]
+    with mock.patch.object(inference, "CHUNK_CELLS", 1000 * L * L), \
+            mock.patch.object(potentials, "MLP_BLOCK_CELLS", 1 << 14):
+        assert len(inference.cell_blocks([r.length for r in reps], L)) == 10
+        bound = 2.5 * inference.CHUNK_CELLS * 8
+        assert _traced_peak(lambda: predict_paths(p, reps)) < bound
+        assert _traced_peak(lambda: score_lattices(p, reps)) > bound
