@@ -33,7 +33,7 @@ from .inference import (
     viterbi,
     viterbi_batch,
 )
-from .linalg import init_matrix, log_sum_exp, make_rng, matvec
+from .linalg import log_sum_exp, make_rng
 from .oracle import (
     SyntheticSpec,
     brute_force_best_path,
@@ -46,7 +46,6 @@ from .potentials import (
     CRF_FAMILIES,
     Family,
     ModelParams,
-    ParamGrad,
     RepresentationSequence,
     backprop_lattice,
     backprop_lattices,
@@ -67,7 +66,6 @@ __all__ = [
     "Family",
     "LabelVocab",
     "ModelParams",
-    "ParamGrad",
     "RepresentationSequence",
     "SyntheticSpec",
     "TokenSequence",
@@ -84,14 +82,12 @@ __all__ = [
     "decode_softmax",
     "finite_diff_grad",
     "generate_synthetic",
-    "init_matrix",
     "init_params",
     "load_embeddings",
     "load_model",
     "log_partition",
     "log_sum_exp",
     "make_rng",
-    "matvec",
     "mean_and_std",
     "nll_and_grad",
     "nll_and_grad_batch",

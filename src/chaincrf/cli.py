@@ -221,15 +221,13 @@ def run_gradcheck(family, num_labels=4, d_h=5, d_t=4, d_r=3, length=5,
     _, lat_grad = nll_and_grad(lat, gold)
     analytic = backprop_lattices(params, [reps], [lat_grad])
     if corrupt is not None:
-        analytic.arrays[corrupt] = analytic.arrays[corrupt] + 1e-2
+        analytic[corrupt] = analytic[corrupt] + 1e-2
 
     numeric = finite_diff_grad(
         lambda p: nll_and_grad(score_lattice(p, reps), gold)[0], params, step=step
     )
-    field_errors = {
-        name: max_relative_error(analytic.arrays[name], numeric.arrays[name])
-        for name in numeric.arrays
-    }
+    field_errors = {name: max_relative_error(analytic[name], num)
+                    for name, num in numeric.items()}
     failing = [name for name, err in field_errors.items() if not err < GRADCHECK_TOLERANCE]
 
     log_z = log_partition(lat)

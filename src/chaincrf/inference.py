@@ -114,6 +114,8 @@ def _check_gold(lat, gold):
     if len(gold) != M:
         raise ValueError("gold path length %d does not match lattice length %d" % (len(gold), M))
     for y in gold:
+        if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
+            raise ValueError("label index %r is not an integer" % (y,))
         if not 0 <= y < L:
             raise ValueError("invalid label index %r for %d labels" % (y, L))
 
@@ -265,12 +267,7 @@ def nll_and_grad_batch(lattices, golds) -> list:
         for m in range(T - 2, -1, -1):
             n = active[m + 1]
             beta[:n, m] = log_sum_exp_over_rows(lat[:n, m + 1] + beta[:n, m + 1, None, :], axis=2)
-        # log_sum_exp of each sequence's last alpha row, op for op
-        final = alpha[rows, lengths - 1]
-        top = final.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            log_z = top + np.log(np.sum(np.exp(final - top[:, None]), axis=1))
-        log_z = np.where(np.isfinite(top), log_z, top)
+        log_z = log_sum_exp_over_rows(alpha[rows, lengths - 1], axis=1)
 
         grad = np.zeros((B, T, L, L))
         grad[:, 0, 0] = np.exp(lat[:, 0, 0] + beta[:, 0] - log_z[:, None])

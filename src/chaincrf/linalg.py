@@ -11,10 +11,6 @@ import math
 
 import numpy as np
 
-Vec = np.ndarray
-Mat = np.ndarray
-Tensor3 = np.ndarray
-
 
 def make_rng(seed) -> np.random.Generator:
     """PCG64 generator for `seed`; equal seeds give bit-identical streams."""
@@ -49,23 +45,7 @@ def log_sum_exp_over_rows(mat: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.where(np.isfinite(m), out, m).squeeze(axis)
 
 
-def matvec(m: Mat, v: Vec) -> Vec:
-    """Matrix-vector product with an explicit dimension check."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError("dimension mismatch: %r @ %r" % (m.shape, v.shape))
-    return m @ v
-
-
-def glorot(rng: np.random.Generator, rows: int, cols: int) -> Mat:
+def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Uniform draw in [-a, a] with a = sqrt(6 / (rows + cols))."""
     a = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-a, a, size=(rows, cols))
-
-
-def init_matrix(rows: int, cols: int, seed) -> Mat:
-    """Seeded Glorot-uniform matrix; bit-identical for equal arguments."""
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    return glorot(make_rng(seed), rows, cols)

@@ -17,7 +17,7 @@ import numpy as np
 from .dataio import EmbeddingTable, TokenSequence
 from .inference import DecodeResult, _check_lattice
 from .linalg import log_sum_exp, make_rng
-from .potentials import ModelParams, ParamGrad
+from .potentials import ModelParams
 
 ENUMERATION_CAP = 10 ** 7
 
@@ -66,8 +66,9 @@ def brute_force_pairwise_marginals(lat) -> np.ndarray:
     return p
 
 
-def finite_diff_grad(f, params: ModelParams, step: float = 1e-5) -> ParamGrad:
-    """Central finite differences of a scalar function of the parameters.
+def finite_diff_grad(f, params: ModelParams, step: float = 1e-5) -> dict:
+    """Central finite differences of a scalar function of the parameters,
+    as a {field: gradient} dict in FAMILY_FIELDS order.
 
     Perturbs every populated parameter entry by +-step.  Slow by design;
     meant for small models.
@@ -86,7 +87,7 @@ def finite_diff_grad(f, params: ModelParams, step: float = 1e-5) -> ParamGrad:
             flat[k] = saved
             gf[k] = (up - down) / (2.0 * step)
         arrays[name] = grad
-    return ParamGrad(work.family, arrays)
+    return arrays
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ parameters.
 
 Fields.  `FAMILY_FIELDS` lists each family's weight fields in canonical
 order; shapes, the family groups and `init_params`' size checks derive
-from it, and `ModelParams.arrays` holds exactly those fields.
+from it, `ModelParams.arrays` holds exactly those fields, and
+`backprop_lattices` returns a {field: gradient} dict in that order.
 
 Label indexing.  The L real labels are 0..L-1.  A synthetic
 begin-of-sequence (BOS) label occupies row L of the label-embedding table
@@ -29,8 +30,8 @@ lattice cells, each written into its rows of one output buffer (a typical
 training batch is one block).  Within a pass the sequences are stacked
 along the position axis, neighbor words are shifted within each sequence
 only, and each sequence's first position gets its BOS-conditioned row
-separately; the stacked rows and word factors of scoring exist for one
-block at a time.  The concat-MLP pre-activation splits into a word part
+separately (each sequence is known by its first stacked row); the
+stacked rows and word factors of scoring exist for one block at a time.  The concat-MLP pre-activation splits into a word part
 and a label part (computed once per call).  The word part depends only
 on the position's word input (`h`, or `[h_prev, h]` for 2w2l), so it is
 computed once per distinct input row of the pass (rows are equal when
@@ -196,31 +197,6 @@ class ModelParams:
         return replace(self, arrays={name: a.copy() for name, a in self.arrays.items()})
 
 
-@dataclass
-class ParamGrad:
-    """Gradient accumulator mirroring the fields of a ModelParams."""
-
-    family: Family
-    arrays: dict = field(default_factory=dict)
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "ParamGrad":
-        return cls(params.family, {n: np.zeros_like(a) for n, a in params.param_items()})
-
-    def scale(self, c: float) -> "ParamGrad":
-        for a in self.arrays.values():
-            a *= c
-        return self
-
-    def add(self, other: "ParamGrad") -> "ParamGrad":
-        for name, a in other.arrays.items():
-            self.arrays[name] += a
-        return self
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(a * a)) for a in self.arrays.values())))
-
-
 def init_params(family, num_labels, d_h, seed, d_t=0, d_r=0, mlp_hidden=128) -> ModelParams:
     """Seeded parameters for `family`; equal arguments give bit-identical
     models (arrays are drawn from one PCG64 stream in canonical field
@@ -344,36 +320,35 @@ def _precompute(params: ModelParams) -> dict:
 
 def _stack(reps_list):
     """The representations of a batch stacked along the position axis,
-    and the (start, end) rows of each sequence in the stack."""
+    and `starts`, the stacked row of each sequence's first position."""
     h_all = np.vstack([reps.h for reps in reps_list])
-    spans = []
-    start = 0
-    for reps in reps_list:
-        spans.append((start, start + reps.length))
-        start += reps.length
-    return h_all, spans
+    starts = np.cumsum([0] + [reps.length for reps in reps_list[:-1]])
+    return h_all, starts
 
 
-def _neighbor_rows(x, spans, prev, times=None):
-    """Rows of `x` shifted one position within each span: row m holds the
-    previous (or next) row of its own sequence, zeros where that neighbor
-    is out of range.  Given `times`, multiplies that array in place by the
-    shifted rows instead and returns it; its rows without a neighbor keep
-    their value, as if the missing neighbor were a ones factor."""
-    out = np.zeros_like(x) if times is None else times
-    for s, e in spans:
-        if prev:
-            rows, nbr = slice(s + 1, e), slice(s, e - 1)
-        else:
-            rows, nbr = slice(s, e - 1), slice(s + 1, e)
-        if times is None:
-            out[rows] = x[nbr]
-        else:
-            np.multiply(x[nbr], out[rows], out=out[rows])
-    return out
+def _neighbor_rows(x, starts, prev, times=None):
+    """Rows of `x` shifted one position within each sequence: row m holds
+    the previous (or next) row of its own sequence, zeros where that
+    neighbor is out of range.  Given `times`, multiplies that array in
+    place by the shifted rows instead and returns it; its rows without a
+    neighbor keep their value, as if the missing neighbor were a ones
+    factor."""
+    # rows without the neighbor: each sequence's first row, or its last
+    # (`starts - 1`, where -1 is the batch's last row)
+    edge = starts if prev else starts - 1
+    rows, nbr = (slice(1, None), slice(None, -1)) if prev else (slice(None, -1), slice(1, None))
+    if times is None:
+        out = np.empty_like(x)
+        out[rows] = x[nbr]
+        out[edge] = 0.0
+        return out
+    kept = times[edge]
+    np.multiply(x[nbr], times[rows], out=times[rows])
+    times[edge] = kept
+    return times
 
 
-def _word_factors(params, h_all, spans):
+def _word_factors(params, h_all, starts):
     """Word-factor vectors of a decomposed family for the stacked
     positions.
 
@@ -387,15 +362,15 @@ def _word_factors(params, h_all, spans):
         factors = (h_all @ w["u_h"],)
     else:
         ones = np.ones((h_all.shape[0], params.d_r))
-        factors = (_neighbor_rows(h_all @ w["u_h1"], spans, prev=True, times=ones),
+        factors = (_neighbor_rows(h_all @ w["u_h1"], starts, prev=True, times=ones),
                    h_all @ w["u_h2"])
         if f is Family.D_PENTALINEAR:
-            factors += (_neighbor_rows(h_all @ w["u_h3"], spans, prev=False,
+            factors += (_neighbor_rows(h_all @ w["u_h3"], starts, prev=False,
                                        times=np.ones_like(ones)),)
     return factors
 
 
-def _mlp_words(params, h_all, spans):
+def _mlp_words(params, h_all, starts):
     """Distinct MLP word inputs X of the stacked positions and `inverse`,
     the row of X that each position reads.  The input is [previous word,]
     current word; the previous word of a sequence's first position is the
@@ -403,7 +378,7 @@ def _mlp_words(params, h_all, spans):
     -0.0 stay apart."""
     x = h_all
     if params.family is Family.CONCAT_MLP_2W2L:
-        x = np.hstack([_neighbor_rows(h_all, spans, prev=True), h_all])
+        x = np.hstack([_neighbor_rows(h_all, starts, prev=True), h_all])
     rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     return x[first], inverse
@@ -509,18 +484,17 @@ def score_lattices(params: ModelParams, reps_list) -> list:
 
 def _score_block(params, pre, reps_list, flat):
     """Write the lattices of the stacked `reps_list` into `flat` (rows, L, L)."""
-    h_all, spans = _stack(reps_list)
+    h_all, starts = _stack(reps_list)
     L = params.num_labels
     f = params.family
     w = params.arrays
-    starts = [s for s, _ in spans]
     if f in (Family.D_TRILINEAR, Family.TRILINEAR):
         np.matmul(h_all, pre["A_cur"], out=flat.reshape(-1, L * L))
         bos = h_all[starts] @ pre["A_bos"]
     elif f in MLP_FAMILIES:
         # score each distinct word input once, then gather per position
         # ("clip" writes `out` in place: "raise" would buffer a copy of it)
-        X, inverse = _mlp_words(params, h_all, spans)
+        X, inverse = _mlp_words(params, h_all, starts)
         Zw = X @ pre["w1_words"].T
         w2 = w["mlp_w2"][0]
         scores = _mlp_scores(Zw, pre["Z_cur"], w2, np.empty((len(X), L * L)))
@@ -530,9 +504,9 @@ def _score_block(params, pre, reps_list, flat):
         bos = bos[bos_inverse]
     elif f in (Family.D_QUADRILINEAR, Family.D_PENTALINEAR):
         # the word-factor product, multiplied in place: no factor copies
-        W = _neighbor_rows(h_all @ w["u_h1"], spans, prev=True, times=h_all @ w["u_h2"])
+        W = _neighbor_rows(h_all @ w["u_h1"], starts, prev=True, times=h_all @ w["u_h2"])
         if f is Family.D_PENTALINEAR:
-            _neighbor_rows(h_all @ w["u_h3"], spans, prev=False, times=W)
+            _neighbor_rows(h_all @ w["u_h3"], starts, prev=False, times=W)
         np.matmul(W, pre["G12_cur"].T, out=flat.reshape(-1, L * L))
         bos = W[starts] @ pre["G12_bos"].T
     else:
@@ -546,8 +520,7 @@ def _score_block(params, pre, reps_list, flat):
             row = (h_all @ w["w_h2"]) @ pre["T_ext"].T
             flat += row[:, :L, None]
             bos += row[starts, L][:, None]
-    for k, (s, e) in enumerate(spans):
-        flat[s] = bos[k]
+    flat[starts] = bos[:, None, :]
 
 
 def score_lattice(params: ModelParams, reps: RepresentationSequence) -> np.ndarray:
@@ -559,33 +532,33 @@ def score_lattice(params: ModelParams, reps: RepresentationSequence) -> np.ndarr
 # Analytic gradients
 # ---------------------------------------------------------------------------
 
-def _accumulate_additive(params, pre, h_all, spans, gext, out):
+def _accumulate_additive(params, pre, h_all, starts, gext):
     """Pullback of score[m, a, b] = table[a, b] + col[m, b] (+ row[m, a])
     for softmax, vanilla-crf and the bilinear families."""
     L = params.num_labels
     f = params.family
-    w, g = params.arrays, out.arrays
+    w = params.arrays
     gcol = gext.sum(axis=1)               # (N, L)
-    if f in (Family.SOFTMAX, Family.VANILLA_CRF):
-        g["w_h"] += h_all.T @ gcol
-        if f is Family.VANILLA_CRF:
-            g["transition_table"] += gext.sum(axis=0)
-        return
+    if f is Family.SOFTMAX:
+        return {"w_h": h_all.T @ gcol}
+    if f is Family.VANILLA_CRF:
+        return {"w_h": h_all.T @ gcol, "transition_table": gext.sum(axis=0)}
     T_ext, T_cur = pre["T_ext"], pre["T_cur"]
     total = gext.sum(axis=0)              # (L+1, L)
-    g["w_t"] += T_ext.T @ total @ T_cur
-    g["label_embeddings"] += total @ (T_cur @ w["w_t"].T)
-    g["label_embeddings"][:L] += total.T @ (T_ext @ w["w_t"])
     cur = "w_h" if f is Family.TWO_BILINEAR else "w_h1"
-    g[cur] += h_all.T @ (gcol @ T_cur)
+    g = {"w_t": T_ext.T @ total @ T_cur,
+         "label_embeddings": total @ (T_cur @ w["w_t"].T)}
+    g["label_embeddings"][:L] += total.T @ (T_ext @ w["w_t"])
+    g[cur] = h_all.T @ (gcol @ T_cur)
     g["label_embeddings"][:L] += (gcol.T @ h_all) @ w[cur]
     if f is Family.THREE_BILINEAR:
         grow = gext.sum(axis=2)           # (N, L+1)
-        g["w_h2"] += h_all.T @ (grow @ T_ext)
+        g["w_h2"] = h_all.T @ (grow @ T_ext)
         g["label_embeddings"] += (grow.T @ h_all) @ w["w_h2"]
+    return g
 
 
-def _accumulate_decomposed(params, pre, h_all, spans, gext, out):
+def _accumulate_decomposed(params, pre, h_all, starts, gext):
     """Gradient pullback for the decomposed families.
 
     Every contraction that sums over positions and sequences runs as one
@@ -595,9 +568,9 @@ def _accumulate_decomposed(params, pre, h_all, spans, gext, out):
     """
     L = params.num_labels
     f = params.family
-    w, g = params.arrays, out.arrays
+    w = params.arrays
     total = h_all.shape[0]
-    factors = _word_factors(params, h_all, spans)
+    factors = _word_factors(params, h_all, starts)
     W = factors[0]
     for extra in factors[1:]:
         W = W * extra
@@ -611,43 +584,42 @@ def _accumulate_decomposed(params, pre, h_all, spans, gext, out):
     Q = (flat.T @ W).reshape(L + 1, L, params.d_r)
     D1 = np.einsum("abj,bj->aj", Q, G2, optimize=True)
     D2 = np.einsum("abj,aj->bj", Q, G1, optimize=True)
-    g["u_t1"] += T_ext.T @ D1
-    g["u_t2"] += T_cur.T @ D2
-    g["label_embeddings"] += D1 @ w["u_t1"].T
+    g = {"u_t1": T_ext.T @ D1, "u_t2": T_cur.T @ D2, "label_embeddings": D1 @ w["u_t1"].T}
     g["label_embeddings"][:L] += D2 @ w["u_t2"].T
     if f is Family.D_TRILINEAR:
-        g["u_h"] += h_all.T @ base
-        return
-    h_prev = _neighbor_rows(h_all, spans, prev=True)
+        g["u_h"] = h_all.T @ base
+        return g
+    h_prev = _neighbor_rows(h_all, starts, prev=True)
     if f is Family.D_QUADRILINEAR:
         G3, G4 = factors
-        g["u_h1"] += h_prev.T @ (base * G4)
-        g["u_h2"] += h_all.T @ (base * G3)
-        return
+        g["u_h1"] = h_prev.T @ (base * G4)
+        g["u_h2"] = h_all.T @ (base * G3)
+        return g
     G3, G4, G5 = factors
-    h_next = _neighbor_rows(h_all, spans, prev=False)
-    g["u_h1"] += h_prev.T @ (base * G4 * G5)
-    g["u_h2"] += h_all.T @ (base * G3 * G5)
-    g["u_h3"] += h_next.T @ (base * G3 * G4)
+    h_next = _neighbor_rows(h_all, starts, prev=False)
+    g["u_h1"] = h_prev.T @ (base * G4 * G5)
+    g["u_h2"] = h_all.T @ (base * G3 * G5)
+    g["u_h3"] = h_next.T @ (base * G3 * G4)
+    return g
 
 
-def _accumulate_trilinear(params, pre, h_all, spans, gext, out):
+def _accumulate_trilinear(params, pre, h_all, starts, gext):
     """Pullback of score[m, a, b] = h[m] . (U x T_ext[a] x T_cur[b]).
 
     K[p, a, b] = sum_m h[m, p] gext[m, a, b] carries all the position
     dependence, so after that one GEMM the three contractions are small.
     """
     L, d_h = params.num_labels, params.d_h
-    g = out.arrays
     T_ext, T_cur = pre["T_ext"], pre["T_cur"]
     K = (h_all.T @ gext.reshape(len(h_all), -1)).reshape(d_h, L + 1, L)
-    g["u_dense"] += np.matmul(T_ext.T, K) @ T_cur
-    g["label_embeddings"] += np.matmul(K, pre["UT"].transpose(0, 2, 1)).sum(axis=0)
+    g = {"u_dense": np.matmul(T_ext.T, K) @ T_cur,
+         "label_embeddings": np.matmul(K, pre["UT"].transpose(0, 2, 1)).sum(axis=0)}
     TU = np.matmul(T_ext, params.arrays["u_dense"])       # (d_h, L+1, d_t)
     g["label_embeddings"][:L] += np.matmul(K.transpose(0, 2, 1), TU).sum(axis=0)
+    return g
 
 
-def _accumulate_mlp(params, pre, h_all, spans, gext, out):
+def _accumulate_mlp(params, pre, h_all, starts, gext):
     """Pullback of the concat-MLP families, one blocked pass over the
     distinct word inputs of the batch.
 
@@ -660,10 +632,8 @@ def _accumulate_mlp(params, pre, h_all, spans, gext, out):
     first positions gets its own, smaller pass over the distinct inputs
     among them.
     """
-    L, d_t = params.num_labels, params.d_t
-    g = out.arrays
-    starts = [s for s, _ in spans]
-    X, inverse = _mlp_words(params, h_all, spans)
+    L = params.num_labels
+    X, inverse = _mlp_words(params, h_all, starts)
     Zw = X @ pre["w1_words"].T
     w2 = params.arrays["mlp_w2"][0]
     g_w2, S_w, S_cur = _mlp_pullback(
@@ -676,20 +646,19 @@ def _accumulate_mlp(params, pre, h_all, spans, gext, out):
     S_cur = S_cur.reshape(L, L, -1)
     Sa = np.vstack([S_cur.sum(axis=1), S_bos.sum(axis=0)[None]]) * w2   # (L+1, H)
     Sb = (S_cur.sum(axis=0) + S_bos) * w2                                # (L, H)
-    g["mlp_w2"][0] += g_w2 + g_bos
-    g["mlp_b1"] += Sb.sum(axis=0)
-    d_w = X.shape[1]
-    g["mlp_w1"][:, :d_w] += S_w.T @ X
-    g["mlp_w1"][:, d_w: d_w + d_t] += Sa.T @ pre["T_ext"]
-    g["mlp_w1"][:, d_w + d_t:] += Sb.T @ pre["T_cur"]
-    g["label_embeddings"] += Sa @ pre["w1_prev_label"]
+    g = {"mlp_w2": (g_w2 + g_bos)[None],
+         "mlp_b1": Sb.sum(axis=0),
+         "mlp_w1": np.hstack([S_w.T @ X, Sa.T @ pre["T_ext"], Sb.T @ pre["T_cur"]]),
+         "label_embeddings": Sa @ pre["w1_prev_label"]}
     g["label_embeddings"][:L] += Sb @ pre["w1_cur_label"]
+    return g
 
 
-def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
+def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> dict:
     """Sum of lattice-gradient pullbacks over a batch of sequences.
 
-    For every populated parameter field this returns
+    Returns {field: gradient} for the family's fields in FAMILY_FIELDS
+    order, where each gradient is
     sum_i sum_{m,a,b} lat_grads[i][m,a,b] * d(scores_i[m,a,b]) / d(theta),
     evaluated in closed form.  The sequences are stacked along the
     position axis as in `score_lattices` and their lattice gradients
@@ -701,7 +670,6 @@ def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
     check_inputs(params, reps_list)
     if len(reps_list) != len(lat_grads):
         raise ValueError("got %d sequences but %d gradients" % (len(reps_list), len(lat_grads)))
-    out = ParamGrad.zeros(params)
     L = params.num_labels
     for reps, lg in zip(reps_list, lat_grads):
         if lg.shape != (reps.length, L, L):
@@ -710,13 +678,13 @@ def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
                 % (lg.shape, reps.length, L, L)
             )
     if not reps_list:
-        return out
+        return {name: np.zeros_like(a) for name, a in params.param_items()}
     pre = _precompute(params)
-    h_all, spans = _stack(reps_list)
+    h_all, starts = _stack(reps_list)
     gext = np.zeros((h_all.shape[0], L + 1, L))
-    for (s, e), lg in zip(spans, lat_grads):
-        gext[s, L] = lg[0].sum(axis=0)
-        gext[s + 1: e, :L] = lg[1:]
+    np.concatenate(lat_grads, out=gext[:, :L])
+    gext[starts, L] = gext[starts, :L].sum(axis=1)
+    gext[starts, :L] = 0.0
     if params.family is Family.TRILINEAR:
         accumulate = _accumulate_trilinear
     elif params.family in MLP_FAMILIES:
@@ -725,10 +693,10 @@ def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> ParamGrad:
         accumulate = _accumulate_decomposed
     else:
         accumulate = _accumulate_additive
-    accumulate(params, pre, h_all, spans, gext, out)
-    return out
+    g = accumulate(params, pre, h_all, starts, gext)
+    return {name: g[name] for name in FAMILY_FIELDS[params.family]}
 
 
-def backprop_lattice(params, reps, lat_grad) -> ParamGrad:
+def backprop_lattice(params, reps, lat_grad) -> dict:
     """Single-sequence form of `backprop_lattices`."""
     return backprop_lattices(params, [reps], [lat_grad])

@@ -177,13 +177,14 @@ SGD_BLOCK = 1 << 15   # elements per step of `sgd_update` (256 KB of float64)
 
 def sgd_update(params, grad, lr, l2):
     """theta <- theta - lr * (grad + l2 * theta) on every field, in place,
+    for `grad` a {field: gradient} dict as `backprop_lattices` returns it,
     with the expression's operations in its order (so bit-identical to it)
     but no field-sized temporary: blocks of whole rows of about SGD_BLOCK
     elements share one scratch buffer for `l2 * theta`, and the rest is
     written through the gradient arrays."""
     scratch = np.empty(SGD_BLOCK)
     for name, theta in params.param_items():
-        g = grad.arrays[name]
+        g = grad[name]
         rows = max(1, SGD_BLOCK * theta.shape[0] // theta.size)
         for lo in range(0, theta.shape[0], rows):
             t, gb = theta[lo: lo + rows], g[lo: lo + rows]
@@ -211,11 +212,13 @@ def train_step(params, reps, golds, lr, l2, grad_clip=0.0):
     if not np.isfinite(loss):
         return loss
     grad = backprop_lattices(params, reps, [r[1] for r in results])
-    grad.scale(1.0 / len(reps))
+    for g in grad.values():
+        g *= 1.0 / len(reps)
     if grad_clip > 0.0:
-        norm = grad.norm()
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grad.values()))
         if norm > grad_clip:
-            grad.scale(grad_clip / norm)
+            for g in grad.values():
+                g *= grad_clip / norm
     sgd_update(params, grad, lr, l2)
     return loss
 
@@ -233,7 +236,11 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
     if not train_set:
         raise ValueError("empty training data")
     if config.subsample_fraction < 1.0:
+        corpus = len(train_set)
         train_set = subsample(train_set, config.subsample_fraction, config.seed)
+        if not train_set:
+            raise ValueError("subsample_fraction %r of %d training sequences selects none"
+                             % (config.subsample_fraction, corpus))
     if vocab is None:
         vocab = build_label_vocab(train_set)
     metric = config.metric

@@ -114,8 +114,8 @@ def test_gradient_check_all_families(family):
             lambda p: nll_and_grad(score_lattice(p, reps), gold)[0],
             params, step=1e-5,
         )
-        for name, num in numeric.arrays.items():
-            worst = max(worst, max_relative_error(analytic.arrays[name], num))
+        for name, num in numeric.items():
+            worst = max(worst, max_relative_error(analytic[name], num))
     assert worst < 1e-4
     _passed("%s NLL gradient matches finite differences over 20 seeds (max rel err %.2e)"
             % (family.value, worst))
@@ -207,9 +207,10 @@ def _speed_one_step(params, reps, golds):
     lattices = score_lattices(params, reps)
     results = [nll_and_grad(lat, g) for lat, g in zip(lattices, golds)]
     grad = backprop_lattices(params, reps, [r[1] for r in results])
-    grad.scale(1.0 / len(reps))
+    for g in grad.values():
+        g *= 1.0 / len(reps)
     for name, arr in params.param_items():
-        arr -= 0.1 * (grad.arrays[name] + 1e-8 * arr)
+        arr -= 0.1 * (grad[name] + 1e-8 * arr)
 
 
 def _speed_one_decode(params, reps):

@@ -202,6 +202,15 @@ def test_train_subsample_flag(tmp_path, capsys):
     assert len(report) == 2
 
 
+def test_train_subsample_selecting_nothing_exit_1(tmp_path, capsys):
+    paths = write_corpus(tmp_path, n=40)
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
+    assert main(["train", "--config", str(config_path), "--subsample", "0.01"]) == 1
+    assert ("subsample_fraction 0.01 of 40 training sequences selects none"
+            in capsys.readouterr().err)
+    assert not os.path.exists(cfg["model_path"])
+
+
 def test_train_threads_config_key_unknown_exit_2(tmp_path, capsys):
     paths = write_corpus(tmp_path, n=10)
     config_path, cfg = base_config(tmp_path, paths, threads=2)

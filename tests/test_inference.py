@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -176,6 +177,25 @@ def test_nll_rejects_bad_labels():
         nll_and_grad(np.zeros((2, 3, 3)), [0, 3])
     with pytest.raises(ValueError, match="length"):
         nll_and_grad(np.zeros((2, 3, 3)), [0])
+
+
+@pytest.mark.parametrize("label", [1.5, 2.0, True, "1", None], ids=repr)
+def test_nll_rejects_non_integer_labels(label):
+    lat = np.zeros((3, 4, 4))
+    for run in (lambda: nll_and_grad(lat, [0, label, 2]),
+                lambda: nll_and_grad_batch([lat], [[0, label, 2]])):
+        with pytest.raises(ValueError, match="label index %s is not an integer"
+                           % re.escape(repr(label))):
+            run()
+
+
+def test_nll_accepts_numpy_integer_labels():
+    lat = random_lattice(3, 4, seed=2)
+    gold = np.array([0, 3, 1])
+    want = nll_and_grad(lat, [0, 3, 1])
+    for got in (nll_and_grad(lat, gold), nll_and_grad_batch([lat], [gold])[0]):
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_decode_softmax_dominant():

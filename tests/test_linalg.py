@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chaincrf import init_matrix, log_sum_exp, make_rng, matvec
-from chaincrf.linalg import log_sum_exp_over_rows
+from chaincrf import log_sum_exp, make_rng
+from chaincrf.linalg import glorot, log_sum_exp_over_rows
 
 
 def test_log_sum_exp_equal_values():
@@ -52,45 +52,21 @@ def test_log_sum_exp_over_rows_matches_columns():
     np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
-def test_init_matrix_deterministic():
-    a = init_matrix(2, 2, seed=1)
-    b = init_matrix(2, 2, seed=1)
+def test_glorot_deterministic():
+    a = glorot(make_rng(1), 2, 2)
+    b = glorot(make_rng(1), 2, 2)
     assert a.tobytes() == b.tobytes()
 
 
-def test_init_matrix_bound():
-    m = init_matrix(3, 5, seed=9)
+def test_glorot_bound():
+    m = glorot(make_rng(9), 3, 5)
     assert np.all(np.abs(m) <= math.sqrt(6.0 / 8.0))
 
 
-def test_init_matrix_one_by_one_bound():
-    m = init_matrix(1, 1, seed=7)
+def test_glorot_one_by_one_bound():
+    m = glorot(make_rng(7), 1, 1)
     assert abs(m[0, 0]) <= math.sqrt(3.0)
 
 
-def test_init_matrix_different_seeds_differ():
-    assert init_matrix(4, 4, seed=1).tobytes() != init_matrix(4, 4, seed=2).tobytes()
-
-
-def test_init_matrix_rejects_bad_dims():
-    with pytest.raises(ValueError):
-        init_matrix(0, 3, seed=1)
-
-
-def test_matvec_column_selection():
-    out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(out, [1.0, 3.0])
-
-
-def test_matvec_identity():
-    v = make_rng(0).standard_normal(4)
-    np.testing.assert_array_equal(matvec(np.eye(4), v), v)
-
-
-def test_matvec_zero_matrix():
-    np.testing.assert_array_equal(matvec(np.zeros((3, 2)), np.ones(2)), np.zeros(3))
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matvec(np.eye(3), np.ones(2))
+def test_glorot_different_seeds_differ():
+    assert glorot(make_rng(1), 4, 4).tobytes() != glorot(make_rng(2), 4, 4).tobytes()

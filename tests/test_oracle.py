@@ -54,7 +54,7 @@ def test_all_paths_scores_are_path_sums():
 def test_finite_diff_constant_function():
     p = init_params(Family.VANILLA_CRF, 3, 2, seed=0)
     g = finite_diff_grad(lambda q: 1.25, p)
-    for arr in g.arrays.values():
+    for arr in g.values():
         np.testing.assert_array_equal(arr, 0.0)
 
 
@@ -62,8 +62,8 @@ def test_finite_diff_quadratic():
     p = init_params(Family.VANILLA_CRF, 3, 2, seed=0)
     p.arrays["transition_table"][0, 0] = 3.0
     g = finite_diff_grad(lambda q: float(q.arrays["transition_table"][0, 0] ** 2), p)
-    assert g.arrays["transition_table"][0, 0] == pytest.approx(6.0, abs=1e-6)
-    assert g.arrays["transition_table"][1, 1] == 0.0
+    assert g["transition_table"][0, 0] == pytest.approx(6.0, abs=1e-6)
+    assert g["transition_table"][1, 1] == 0.0
 
 
 def test_synthetic_first_order_labels_follow_tokens():

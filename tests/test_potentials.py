@@ -21,7 +21,7 @@ from chaincrf import (
 )
 from chaincrf import inference, potentials
 from chaincrf.cli import max_relative_error
-from chaincrf.potentials import EMBEDDING_FAMILIES, MLP_FAMILIES, ParamGrad
+from chaincrf.potentials import EMBEDDING_FAMILIES, FAMILY_FIELDS, MLP_FAMILIES
 from chaincrf.training import decode_paths, predict_paths
 
 from helpers import SMALL, random_reps, small_params, small_reps
@@ -251,7 +251,7 @@ def test_backprop_zero_grad_gives_zero():
         reps = small_reps()
         zero = np.zeros((reps.length, p.num_labels, p.num_labels))
         out = backprop_lattice(p, reps, zero)
-        for arr in out.arrays.values():
+        for arr in out.values():
             np.testing.assert_array_equal(arr, 0.0)
 
 
@@ -265,10 +265,10 @@ def test_backprop_vanilla_one_hot_chain_rule():
     out = backprop_lattice(p, reps, lat_grad)
     want_tt = np.zeros((L + 1, L))
     want_tt[a, b] = 1.0
-    np.testing.assert_array_equal(out.arrays["transition_table"], want_tt)
+    np.testing.assert_array_equal(out["transition_table"], want_tt)
     want_wh = np.zeros_like(p.arrays["w_h"])
     want_wh[:, b] = reps.h[m]
-    np.testing.assert_allclose(out.arrays["w_h"], want_wh)
+    np.testing.assert_allclose(out["w_h"], want_wh)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
@@ -281,8 +281,8 @@ def test_backprop_matches_finite_differences_weighted_scores(family):
     numeric = finite_diff_grad(
         lambda q: float(np.sum(lat_grad * score_lattice(q, reps))), p, step=1e-5
     )
-    for name, num in numeric.arrays.items():
-        assert max_relative_error(analytic.arrays[name], num) < 1e-4, name
+    for name, num in numeric.items():
+        assert max_relative_error(analytic[name], num) < 1e-4, name
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
@@ -297,8 +297,8 @@ def test_nll_gradient_matches_finite_differences(family):
     _, lat_grad = nll_and_grad(score_lattice(p, reps), gold)
     analytic = backprop_lattice(p, reps, lat_grad)
     numeric = finite_diff_grad(loss, p, step=1e-5)
-    for name, num in numeric.arrays.items():
-        assert max_relative_error(analytic.arrays[name], num) < 1e-4, name
+    for name, num in numeric.items():
+        assert max_relative_error(analytic[name], num) < 1e-4, name
 
 
 def test_backprop_rejects_shape_mismatch():
@@ -308,12 +308,17 @@ def test_backprop_rejects_shape_mismatch():
         backprop_lattice(p, reps, np.zeros((reps.length, 2, 2)))
 
 
-def test_param_grad_zeros_mirrors_fields():
-    p = small_params(Family.D_PENTALINEAR)
-    g = ParamGrad.zeros(p)
-    assert set(g.arrays) == {name for name, _ in p.param_items()}
-    for name, arr in p.param_items():
-        assert g.arrays[name].shape == arr.shape
+def test_backprop_returns_fields_in_canonical_order():
+    reps_list = [small_reps(), random_reps(1, SMALL["d_h"], seed=5)]
+    for family in ALL_FAMILIES:
+        p = small_params(family)
+        L = p.num_labels
+        grads = [np.ones((r.length, L, L)) for r in reps_list]
+        for batch in ((reps_list, grads), ([], [])):
+            g = backprop_lattices(p, *batch)
+            assert list(g) == list(FAMILY_FIELDS[family])
+            for name, arr in p.param_items():
+                assert g[name].shape == arr.shape
 
 
 ZERO_SIZES = ([(f, "d_t") for f in Family if f in EMBEDDING_FAMILIES]
@@ -369,11 +374,12 @@ def test_ragged_batch_backprop_matches_sum_of_singles(family):
     grads = [make_rng(30 + i).standard_normal((r.length, L, L))
              for i, r in enumerate(reps_list)]
     batched = backprop_lattices(p, reps_list, grads)
-    total = ParamGrad.zeros(p)
+    total = {name: np.zeros_like(arr) for name, arr in p.param_items()}
     for reps, lg in zip(reps_list, grads):
-        total.add(backprop_lattices(p, [reps], [lg]))
-    for name in total.arrays:
-        np.testing.assert_allclose(batched.arrays[name], total.arrays[name], atol=1e-10)
+        for name, arr in backprop_lattices(p, [reps], [lg]).items():
+            total[name] += arr
+    for name in total:
+        np.testing.assert_allclose(batched[name], total[name], atol=1e-10)
 
 
 @pytest.mark.parametrize("family",
@@ -389,8 +395,8 @@ def test_nll_gradient_length_one_sequence(family):
     numeric = finite_diff_grad(
         lambda q: nll_and_grad(score_lattice(q, reps), gold)[0], p, step=1e-5
     )
-    for name, num in numeric.arrays.items():
-        assert max_relative_error(analytic.arrays[name], num) < 1e-4, name
+    for name, num in numeric.items():
+        assert max_relative_error(analytic[name], num) < 1e-4, name
 
 
 @pytest.mark.parametrize("family", ADDITIVE, ids=lambda f: f.value)
@@ -409,8 +415,8 @@ def test_nll_gradient_ragged_batch(family):
                  for lat, gold in zip(score_lattices(p, reps_list), golds)]
     analytic = backprop_lattices(p, reps_list, lat_grads)
     numeric = finite_diff_grad(loss, p, step=1e-5)
-    for name, num in numeric.arrays.items():
-        assert max_relative_error(analytic.arrays[name], num) < 1e-4, name
+    for name, num in numeric.items():
+        assert max_relative_error(analytic[name], num) < 1e-4, name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -464,8 +470,8 @@ def test_mlp_one_position_blocks_match_default(family):
         grad_1 = backprop_lattices(p, reps_list, grads)
     for a, b in zip(lats, lats_1):
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
-    for name in grad.arrays:
-        np.testing.assert_allclose(grad_1.arrays[name], grad.arrays[name], rtol=1e-12, atol=1e-12)
+    for name in grad:
+        np.testing.assert_allclose(grad_1[name], grad[name], rtol=1e-12, atol=1e-12)
 
 
 @st.composite
@@ -489,13 +495,14 @@ def stacked_batches(draw):
 def test_stacked_batch_equals_sum_of_single_sequences(batch):
     p, reps_list, grads = batch
     lats = score_lattices(p, reps_list)
-    total = ParamGrad.zeros(p)
+    total = {name: np.zeros_like(arr) for name, arr in p.param_items()}
     for reps, lat, lg in zip(reps_list, lats, grads):
         np.testing.assert_allclose(lat, score_lattice(p, reps), rtol=1e-12, atol=1e-12)
-        total.add(backprop_lattice(p, reps, lg))
+        for name, arr in backprop_lattice(p, reps, lg).items():
+            total[name] += arr
     batched = backprop_lattices(p, reps_list, grads)
-    for name in total.arrays:
-        np.testing.assert_allclose(batched.arrays[name], total.arrays[name],
+    for name in total:
+        np.testing.assert_allclose(batched[name], total[name],
                                    rtol=1e-10, atol=1e-10)
 
 
@@ -606,7 +613,7 @@ def test_stacked_path_matches_per_sequence_reference(family):
             want[name] += arr
     got = backprop_lattices(p, reps_list, grads)
     for name, arr in want.items():
-        np.testing.assert_allclose(got.arrays[name], arr, rtol=1e-12, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(got[name], arr, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
@@ -677,7 +684,7 @@ def check_mlp_batch_against_reference(p, reps_list, grads):
             want[name] += arr
     got = backprop_lattices(p, reps_list, grads)
     for name, arr in want.items():
-        np.testing.assert_allclose(got.arrays[name], arr, rtol=1e-12, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(got[name], arr, rtol=1e-12, atol=1e-12, err_msg=name)
     seen = {}
     for key, row in zip(_word_inputs(p, reps_list), np.concatenate(lats)):
         assert row.tobytes() == seen.setdefault(key, row).tobytes()
@@ -741,5 +748,5 @@ def test_nll_gradient_batch_with_repeated_word(family):
                  for lat, gold in zip(score_lattices(p, reps_list), golds)]
     analytic = backprop_lattices(p, reps_list, lat_grads)
     numeric = finite_diff_grad(loss, p, step=1e-5)
-    for name, num in numeric.arrays.items():
-        assert max_relative_error(analytic.arrays[name], num) < 1e-4, name
+    for name, num in numeric.items():
+        assert max_relative_error(analytic[name], num) < 1e-4, name

@@ -26,7 +26,6 @@ from chaincrf import (
     train,
 )
 from chaincrf import inference, potentials, training
-from chaincrf.potentials import ParamGrad
 from chaincrf.training import evaluate_model, predict_paths, sgd_update
 
 
@@ -47,7 +46,7 @@ def test_single_step_descends():
     before, lat_grad = nll_and_grad(score_lattice(params, reps), gold)
     grad = backprop_lattices(params, [reps], [lat_grad])
     for name, arr in params.param_items():
-        arr -= 0.01 * grad.arrays[name]
+        arr -= 0.01 * grad[name]
     after, _ = nll_and_grad(score_lattice(params, reps), gold)
     assert after < before
 
@@ -69,7 +68,7 @@ def test_tiny_learning_rate_never_increases_loss():
     grads = [nll_and_grad(lat, g)[1] for lat, g in zip(lats, gold)]
     grad = backprop_lattices(params, reps, grads)
     for name, arr in params.param_items():
-        arr -= 1e-6 * grad.arrays[name]
+        arr -= 1e-6 * grad[name]
     assert batch_loss(params) <= before + 1e-8
 
 
@@ -91,6 +90,15 @@ def test_subsample_deterministic_without_replacement():
     assert a == b
     assert len(a) == 10
     assert len(set(a)) == 10
+
+
+@pytest.mark.parametrize("with_dev", [False, True])
+def test_train_rejects_subsample_that_selects_nothing(with_dev):
+    train_set, dev_set, _, table = tiny_corpus(n=20)
+    config = TrainConfig(family=Family.VANILLA_CRF, subsample_fraction=0.01, max_epochs=1)
+    with pytest.raises(ValueError, match=r"subsample_fraction 0\.01 of 20 training "
+                                         r"sequences selects none"):
+        train(config, train_set, dev_set if with_dev else [], table)
 
 
 def test_subsample_rejects_bad_fraction():
@@ -236,8 +244,7 @@ def test_sgd_update_matches_expression_bit_for_bit(block):
     grads = {name: rng.standard_normal(arr.shape) for name, arr in params.param_items()}
     want = {name: arr - 0.3 * (grads[name] + 1e-2 * arr) for name, arr in params.param_items()}
     with mock.patch.object(training, "SGD_BLOCK", block):
-        sgd_update(params, ParamGrad(params.family, {k: g.copy() for k, g in grads.items()}),
-                   0.3, 1e-2)
+        sgd_update(params, {k: g.copy() for k, g in grads.items()}, 0.3, 1e-2)
     for name, arr in params.param_items():
         assert arr.tobytes() == want[name].tobytes(), name
 
