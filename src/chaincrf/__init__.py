@@ -25,6 +25,7 @@ from .dataio import (
 from .evaluation import EvalResult, mean_and_std, span_f1, token_accuracy
 from .inference import (
     DecodeResult,
+    LatticeBatch,
     decode_softmax,
     log_partition,
     nll_and_grad,
@@ -65,6 +66,7 @@ __all__ = [
     "EvalResult",
     "Family",
     "LabelVocab",
+    "LatticeBatch",
     "ModelParams",
     "RepresentationSequence",
     "SyntheticSpec",

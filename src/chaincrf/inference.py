@@ -7,10 +7,17 @@ by every algorithm here (lattices produced by the potentials module fill
 all rows of position 0 identically).
 
 All recursions run in log space with 64-bit floats.
+
+Batches.  A `LatticeBatch` stacks a batch's lattices in one (N, L, L)
+buffer.  The batched recursions read it in place, time-major (sequences
+longest first, step m gathers position m of each one longer than m), into
+stacked (N, L) messages and (N, L, L) gradients; nothing is padded.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +85,23 @@ def pairwise_marginals(lat) -> np.ndarray:
     return _marginals_from_messages(lat, alpha, beta, log_sum_exp(alpha[-1]))
 
 
+def _check_best(score, k=None) -> float:
+    """`score`, a best path score, unless it is NaN or +inf, as a NaN or +inf
+    anywhere in the lattice makes it: then ValueError naming the lattice
+    (`k`, its sequence's index in a batch).  -inf (every path masked) passes."""
+    if math.isnan(score) or score == math.inf:
+        name = "the lattice" if k is None else "sequence %d of the batch" % k
+        raise ValueError("best path score of %s is %s: its scores hold NaN or +inf"
+                         " (overflowed potentials?)" % (name, score))
+    return score
+
+
 def viterbi(lat) -> DecodeResult:
     """Highest-scoring label path.
 
     Ties are broken toward the lower label index at every backtrack step
     (argmax returns the first maximizer), so output is deterministic.
+    Raises ValueError if the best score is NaN or +inf.
     """
     lat = _check_lattice(lat)
     M, L, _ = lat.shape
@@ -97,7 +116,7 @@ def viterbi(lat) -> DecodeResult:
     labels[M - 1] = last
     for m in range(M - 1, 0, -1):
         labels[m - 1] = int(back[m, labels[m]])
-    return DecodeResult(labels=labels, score=float(best[last]))
+    return DecodeResult(labels=labels, score=_check_best(float(best[last])))
 
 
 def path_score(lat, labels) -> float:
@@ -145,20 +164,20 @@ def decode_softmax(lat) -> DecodeResult:
 
     Assumes every row of a position carries the same scores, which holds
     for lattices built by the softmax family; then the result equals
-    viterbi's.
+    viterbi's, and raises as viterbi does.
     """
     lat = _check_lattice(lat)
     labels = [int(k) for k in np.argmax(lat[:, 0, :], axis=1)]
-    return DecodeResult(labels=labels, score=path_score(lat, labels))
+    return DecodeResult(labels=labels, score=_check_best(path_score(lat, labels)))
 
 
 # ---------------------------------------------------------------------------
 # batched forms
 # ---------------------------------------------------------------------------
 
-# Cells (sequences x positions x L x L) of one chunk's zero-padded lattice
-# buffer and of one block of `cell_blocks`: 2**21 float64 cells are 16 MB.
-# The bound keeps a whole file from holding a second copy of its lattices.
+# Cells (sequences x positions x L x L) of one block of `cell_blocks`:
+# 2**21 float64 cells are 16 MB.  Scoring and decoding a file one block at
+# a time keeps it from holding all of its lattices at once.
 CHUNK_CELLS = 1 << 21
 
 
@@ -175,117 +194,137 @@ def cell_blocks(lengths, num_labels) -> list:
     return blocks + [(lo, len(lengths))] if lengths else []
 
 
-def _check_batch(lattices) -> list:
-    lats = [_check_lattice(lat) for lat in lattices]
-    for lat in lats[1:]:
-        if lat.shape[1] != lats[0].shape[1]:
-            raise ValueError("lattices in one batch must share L, got %d and %d"
-                             % (lats[0].shape[1], lat.shape[1]))
-    return lats
+class LatticeBatch(Sequence):
+    """Lattices of one L stacked along the position axis: `flat` (N, L, L),
+    the sequences' `lengths` and `starts`, their first rows in `flat`.  A
+    read-only sequence of per-sequence views: batch[k] is the k-th
+    (M, L, L) lattice, and a slice is a list of them."""
+
+    def __init__(self, flat, lengths):
+        self.flat = flat
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        if (self.lengths < 1).any() or self.lengths.sum() != len(flat):
+            raise ValueError("lattice lengths %s are not positive lengths of the %d stacked rows"
+                             % (self.lengths.tolist(), len(flat)))
+
+    @classmethod
+    def of(cls, lattices) -> "LatticeBatch":
+        """`lattices` itself if it is a batch; else its lattices, validated
+        (shape (M, L, L), one L) and stacked once."""
+        if isinstance(lattices, cls):
+            return lattices
+        lats = [_check_lattice(lat) for lat in lattices]
+        for lat in lats[1:]:
+            if lat.shape[1] != lats[0].shape[1]:
+                raise ValueError("lattices in one batch must share L, got %d and %d"
+                                 % (lats[0].shape[1], lat.shape[1]))
+        return cls(np.concatenate(lats) if lats else np.empty((0, 0, 0)),
+                   [lat.shape[0] for lat in lats])
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return self.flat[self.starts[k]: self.starts[k] + self.lengths[k]]
 
 
-def _chunks(lats):
-    """Length-sorted, zero-padded chunks of a batch.
-
-    Yields (idx, buf, lengths, active): indices into `lats`, longest
-    sequence first (stable); their (B, M_max, L, L) buffer of at most
-    CHUNK_CELLS cells (a sequence larger than that is a chunk of its own);
-    their lengths; and active[m], the number of them longer than m.
-    """
-    order = sorted(range(len(lats)), key=lambda i: -lats[i].shape[0])
-    lo = 0
-    while lo < len(order):
-        M, L, _ = lats[order[lo]].shape
-        idx = order[lo: lo + max(1, CHUNK_CELLS // (M * L * L))]
-        lo += len(idx)
-        lengths = np.array([lats[i].shape[0] for i in idx])
-        buf = np.zeros((len(idx), M, L, L))
-        for k, i in enumerate(idx):
-            buf[k, :lengths[k]] = lats[i]
-        active = (lengths[:, None] > np.arange(M)).sum(axis=0)
-        yield idx, buf, lengths, active
+def _time_major(batch):
+    """The sequences longest first (stable), their first rows, and active[m],
+    how many are longer than m: step m reads rows first[:active[m]] + m."""
+    order = np.argsort(-batch.lengths, kind="stable")
+    lengths = batch.lengths[order]
+    return order, batch.starts[order], (lengths[:, None] > np.arange(lengths[0])).sum(axis=0)
 
 
 def viterbi_batch(lattices) -> list:
     """`viterbi` of every lattice in a batch, bit-identical to it.
 
-    Lattices may differ in length but must share L.  The recursion runs
-    time-major over length-sorted, zero-padded chunks; at step m only the
-    sequences longer than m take part, so padding never enters the
-    arithmetic.
+    Takes a `LatticeBatch`, read in place, or lattices of one L, stacked
+    once.  Raises ValueError naming the first sequence whose best score is
+    NaN or +inf.
     """
-    lats = _check_batch(lattices)
-    out = [None] * len(lats)
-    for idx, lat, lengths, active in _chunks(lats):
-        B, T, L, _ = lat.shape
-        best = lat[:, 0, 0].copy()
-        back = np.zeros((B, T, L), dtype=np.int64)
-        for m in range(1, T):
-            n = active[m]
-            cand = best[:n, :, None] + lat[:n, m]
-            back[:n, m] = np.argmax(cand, axis=1)
-            best[:n] = np.take_along_axis(cand, back[:n, m][:, None, :], axis=1)[:, 0]
-        rows = np.arange(B)
-        last = np.argmax(best, axis=1)
-        labels = np.zeros((B, T), dtype=np.int64)
-        labels[rows, lengths - 1] = last
-        for m in range(T - 1, 0, -1):
-            n = active[m]
-            labels[:n, m - 1] = back[rows[:n], m, labels[:n, m]]
-        score = best[rows, last]
-        for k, i in enumerate(idx):
-            out[i] = DecodeResult(labels=labels[k, :lengths[k]].tolist(),
-                                  score=float(score[k]))
-    return out
+    batch = LatticeBatch.of(lattices)
+    if not len(batch):
+        return []
+    flat = batch.flat
+    order, first, active = _time_major(batch)
+    best = flat[first, 0]
+    back = np.empty(flat.shape[:2], dtype=np.int64)
+    for m, n in enumerate(active[1:], 1):
+        rows = first[:n] + m
+        cand = flat[rows]
+        np.add(best[:n, :, None], cand, out=cand)
+        back[rows] = arg = np.argmax(cand, axis=1)
+        best[:n] = np.take_along_axis(cand, arg[:, None, :], axis=1)[:, 0]
+    last = np.argmax(best, axis=1)
+    labels = np.empty(len(flat), dtype=np.int64)
+    labels[first + batch.lengths[order] - 1] = last
+    for m in range(len(active) - 1, 0, -1):
+        rows = first[:active[m]] + m
+        labels[rows - 1] = back[rows, labels[rows]]
+    score = np.empty(len(batch))
+    score[order] = best[np.arange(len(batch)), last]
+    return [DecodeResult(labels=labels[s: s + m].tolist(), score=_check_best(float(v), k))
+            for k, (s, m, v) in enumerate(zip(batch.starts, batch.lengths, score))]
 
 
 def nll_and_grad_batch(lattices, golds) -> list:
-    """`nll_and_grad` of every (lattice, gold) pair, bit-identical to it.
+    """`nll_and_grad` of every (lattice, gold) pair, bit-identical to it:
+    a list of (loss, gradient) in batch order, from `nll_and_grad_stacked`."""
+    losses, grads = nll_and_grad_stacked(lattices, golds)
+    return [(float(v), g) for v, g in zip(losses, grads)]
 
-    Returns a list of (loss, gradient) in batch order; each gradient is
-    a view into its chunk's buffer.  Lattices may differ in length but
-    must share L; inputs are validated as `nll_and_grad` validates them.
-    The forward, backward and marginal recursions run time-major over
-    length-sorted, zero-padded chunks, as in `viterbi_batch`.
+
+def nll_and_grad_stacked(lattices, golds):
+    """(losses, gradients) of a batch: the losses as one array and the
+    gradients as one `LatticeBatch`, stacked as the lattices are.
+
+    Takes lattices as `viterbi_batch` does and validates as `nll_and_grad`
+    does; the marginals are formed one position step at a time.
     """
-    lats = _check_batch(lattices)
+    batch = LatticeBatch.of(lattices)
     golds = [list(g) for g in golds]
-    if len(golds) != len(lats):
-        raise ValueError("got %d lattices but %d gold paths" % (len(lats), len(golds)))
-    for lat, gold in zip(lats, golds):
+    if len(golds) != len(batch):
+        raise ValueError("got %d lattices but %d gold paths" % (len(batch), len(golds)))
+    for lat, gold in zip(batch, golds):
         _check_gold(lat, gold)
-    out = [None] * len(lats)
-    for idx, lat, lengths, active in _chunks(lats):
-        B, T, L, _ = lat.shape
-        rows = np.arange(B)
-        alpha = np.empty((B, T, L))
-        alpha[:, 0] = lat[:, 0, 0]
-        for m in range(1, T):
-            n = active[m]
-            alpha[:n, m] = log_sum_exp_over_rows(alpha[:n, m - 1, :, None] + lat[:n, m], axis=1)
-        beta = np.zeros((B, T, L))
-        for m in range(T - 2, -1, -1):
-            n = active[m + 1]
-            beta[:n, m] = log_sum_exp_over_rows(lat[:n, m + 1] + beta[:n, m + 1, None, :], axis=2)
-        log_z = log_sum_exp_over_rows(alpha[rows, lengths - 1], axis=1)
-
-        grad = np.zeros((B, T, L, L))
-        grad[:, 0, 0] = np.exp(lat[:, 0, 0] + beta[:, 0] - log_z[:, None])
-        for m in range(1, T):
-            n = active[m]
-            grad[:n, m] = np.exp(alpha[:n, m - 1, :, None] + lat[:n, m]
-                                 + beta[:n, m, None, :] - log_z[:n, None, None])
-        # gold transitions as flat (sequence, position, previous, label) indices
-        seq, pos = np.nonzero(np.arange(T) < lengths[:, None])
-        cur = np.concatenate([golds[i] for i in idx]).astype(np.int64)
-        prev = np.concatenate([[0] + golds[i][:-1] for i in idx]).astype(np.int64)
-        gold_entries = np.zeros((B, T))
-        gold_entries[seq, pos] = lat[seq, pos, prev, cur]
-        grad[seq, pos, prev, cur] -= 1.0
-        path = gold_entries[:, 0].copy()
-        for m in range(1, T):
-            n = active[m]
-            path[:n] = path[:n] + gold_entries[:n, m]
-        for k, i in enumerate(idx):
-            out[i] = (float(log_z[k]) - float(path[k]), grad[k, :lengths[k]])
-    return out
+    if not golds:
+        return np.empty(0), LatticeBatch(np.zeros_like(batch.flat), [])
+    flat = batch.flat
+    order, first, active = _time_major(batch)
+    alpha = np.empty(flat.shape[:2])
+    alpha[first] = flat[first, 0]
+    for m, n in enumerate(active[1:], 1):
+        rows = first[:n] + m
+        cand = flat[rows]
+        np.add(alpha[rows - 1][:, :, None], cand, out=cand)
+        alpha[rows] = log_sum_exp_over_rows(cand, axis=1)
+    beta = np.zeros(flat.shape[:2])
+    for m in range(len(active) - 2, -1, -1):
+        rows = first[:active[m + 1]] + m
+        cand = flat[rows + 1]
+        cand += beta[rows + 1][:, None, :]
+        beta[rows] = log_sum_exp_over_rows(cand, axis=2)
+    log_z = log_sum_exp_over_rows(alpha[first + batch.lengths[order] - 1], axis=1)
+    # gold transitions as (stacked row, previous, label) indices
+    gold_at = (np.arange(len(flat)), np.concatenate([[0] + g[:-1] for g in golds]).astype(np.int64),
+               np.concatenate(golds).astype(np.int64))
+    gold_entries = flat[gold_at]
+    path = gold_entries[first]
+    grad = np.zeros_like(flat)
+    grad[first, 0] = np.exp(flat[first, 0] + beta[first] - log_z[:, None])
+    for m, n in enumerate(active[1:], 1):
+        rows = first[:n] + m
+        cand = flat[rows]
+        np.add(alpha[rows - 1][:, :, None], cand, out=cand)
+        cand += beta[rows][:, None, :]
+        cand -= log_z[:n, None, None]
+        grad[rows] = np.exp(cand, out=cand)
+        path[:n] += gold_entries[rows]
+    grad[gold_at] -= 1.0
+    loss = np.empty(len(batch))
+    loss[order] = log_z - path
+    return loss, LatticeBatch(grad, batch.lengths)

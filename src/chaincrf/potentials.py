@@ -46,11 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
-from .inference import cell_blocks
+from .inference import LatticeBatch, cell_blocks
 from .linalg import glorot, make_rng
 
 
@@ -442,9 +441,12 @@ def _mlp_pullback(Zw, Zl, w2, grad):
 
 def check_inputs(params, reps_list):
     """Checks shared by scoring and the pullback: parameters, d_h, and
-    finite representations, a bad one named by its index in `reps_list`."""
+    non-empty, finite representations, a bad one named by its index in
+    `reps_list`."""
     params.validate()
     for k, reps in enumerate(reps_list):
+        if reps.length < 1:
+            raise ValueError("empty sequence %d of the batch" % k)
         if reps.d_h != params.d_h:
             raise ValueError(
                 "dimension mismatch: representations have d_h=%d, model wants %d"
@@ -454,7 +456,7 @@ def check_inputs(params, reps_list):
             raise ValueError("non-finite representation in sequence %d of the batch" % k)
 
 
-def score_lattices(params: ModelParams, reps_list) -> list:
+def score_lattices(params: ModelParams, reps_list) -> LatticeBatch:
     """Score lattices for a batch of sequences against one model.
 
     Sequence-independent work (label-side factor products, folded
@@ -464,22 +466,22 @@ def score_lattices(params: ModelParams, reps_list) -> list:
     lattice cells) is stacked along the position axis so its heavy
     contraction runs once (one GEMM per word term, or one blocked pass for
     the MLP); the stacked rows and word factors of one block exist at a
-    time.  Each returned lattice is a view into one shared buffer.
+    time.  Returns a `LatticeBatch` over the one buffer they fill.
     Position 0 of every sequence is overwritten with its BOS-conditioned
     row broadcast.  Raises ValueError naming the sequence if a
     representation is not finite.
     """
     check_inputs(params, reps_list)
-    if not reps_list:
-        return []
-    pre = _precompute(params)
     L = params.num_labels
     lengths = [reps.length for reps in reps_list]
-    bounds = [0, *accumulate(lengths)]    # first row of each sequence, then the end
-    flat = np.empty((bounds[-1], L, L))
+    batch = LatticeBatch(np.empty((sum(lengths), L, L)), lengths)
+    if not reps_list:
+        return batch
+    pre = _precompute(params)
+    bounds = [*batch.starts, len(batch.flat)]    # first row of each sequence, then the end
     for lo, hi in cell_blocks(lengths, L):
-        _score_block(params, pre, reps_list[lo:hi], flat[bounds[lo]: bounds[hi]])
-    return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
+        _score_block(params, pre, reps_list[lo:hi], batch.flat[bounds[lo]: bounds[hi]])
+    return batch
 
 
 def _score_block(params, pre, reps_list, flat):
@@ -660,29 +662,30 @@ def backprop_lattices(params: ModelParams, reps_list, lat_grads) -> dict:
     Returns {field: gradient} for the family's fields in FAMILY_FIELDS
     order, where each gradient is
     sum_i sum_{m,a,b} lat_grads[i][m,a,b] * d(scores_i[m,a,b]) / d(theta),
-    evaluated in closed form.  The sequences are stacked along the
-    position axis as in `score_lattices` and their lattice gradients
-    lifted into one (N, L+1, L) ext gradient, whose row L at each
-    sequence's first position collects the BOS-conditioned scores'
-    gradient.  The reduction over sequences is deterministic (stacked,
+    evaluated in closed form.  `lat_grads` is a `LatticeBatch` or a
+    sequence of lattice gradients (stacked once).  The sequences are
+    stacked along the position axis as in `score_lattices` and their
+    lattice gradients lifted into one (N, L+1, L) ext gradient, whose row
+    L at each sequence's first position collects the BOS-conditioned
+    scores' gradient.  The reduction over sequences is deterministic (stacked,
     position order) so results are reproducible.
     """
     check_inputs(params, reps_list)
-    if len(reps_list) != len(lat_grads):
-        raise ValueError("got %d sequences but %d gradients" % (len(reps_list), len(lat_grads)))
-    L = params.num_labels
-    for reps, lg in zip(reps_list, lat_grads):
-        if lg.shape != (reps.length, L, L):
-            raise ValueError(
-                "lattice gradient shape %r does not match (%d, %d, %d)"
-                % (lg.shape, reps.length, L, L)
-            )
+    grads = LatticeBatch.of(lat_grads)
+    if len(reps_list) != len(grads):
+        raise ValueError("got %d sequences but %d gradients" % (len(reps_list), len(grads)))
     if not reps_list:
         return {name: np.zeros_like(a) for name, a in params.param_items()}
+    L = params.num_labels
+    lengths = [reps.length for reps in reps_list]
+    got = (grads.lengths.tolist(), *grads.flat.shape[1:])
+    if got != (lengths, L, L):
+        raise ValueError("lattice gradient shape: lengths %s of (M, %d, %d) do not match "
+                         "lengths %s of (M, %d, %d)" % (*got, lengths, L, L))
     pre = _precompute(params)
     h_all, starts = _stack(reps_list)
     gext = np.zeros((h_all.shape[0], L + 1, L))
-    np.concatenate(lat_grads, out=gext[:, :L])
+    gext[:, :L] = grads.flat
     gext[starts, L] = gext[starts, :L].sum(axis=1)
     gext[starts, :L] = 0.0
     if params.family is Family.TRILINEAR:

@@ -26,7 +26,7 @@ from .inference import (  # noqa: F401
     cell_blocks,
     decode_softmax,
     nll_and_grad,
-    nll_and_grad_batch,
+    nll_and_grad_stacked,
     viterbi,
     viterbi_batch,
 )
@@ -79,19 +79,23 @@ class TrainConfig:
 
 
 class TrainingDiverged(ValueError):
-    """A batch gave a non-finite loss or left a parameter non-finite.
+    """A batch gave a non-finite loss or gradient, or left a parameter
+    non-finite.
 
-    `field` names the parameter field, or is None for the loss; `epoch`
-    and `batch` (the batch's index within the epoch) count from 0.
+    `field` names the parameter field, or is None for the loss; `kind` says
+    whether that field's "gradient" or "parameter" went non-finite; `epoch`
+    and `batch` (the batch's index within the epoch) count from 0, and are
+    None when raised by a lone `train_step`.
     """
 
-    def __init__(self, field, epoch, batch):
+    def __init__(self, field, epoch, batch, kind="parameter"):
         self.field = field
         self.epoch = epoch
         self.batch = batch
-        what = "loss" if field is None else "parameter in %s" % field
-        super().__init__("training diverged: non-finite %s at epoch %d, batch %d"
-                         % (what, epoch, batch))
+        self.kind = kind
+        what = "loss" if field is None else "%s in %s" % (kind, field)
+        where = "" if epoch is None else " at epoch %d, batch %d" % (epoch, batch)
+        super().__init__("training diverged: non-finite %s%s" % (what, where))
 
 
 @dataclass
@@ -160,13 +164,23 @@ def predict_paths(params, reps_list):
     check_inputs(params, reps_list)    # names a bad sequence by its index here
     paths = []
     for lo, hi in cell_blocks([reps.length for reps in reps_list], params.num_labels):
-        paths += decode_paths(params, score_lattices(params, reps_list[lo:hi]))
+        try:
+            paths += decode_paths(params, score_lattices(params, reps_list[lo:hi]))
+        except ValueError as exc:   # decoding names a sequence by its index in the block
+            raise ValueError("in sequences %d-%d: %s" % (lo, hi - 1, exc)) from None
     return paths
 
 
 def evaluate_model(params, seqs, reps_list, vocab, metric):
-    """Dev metric of `params` on labeled sequences with cached reps."""
-    pred = [[vocab.labels[k] for k in path] for path in predict_paths(params, reps_list)]
+    """Dev metric of `params` on labeled sequences with cached reps; nan
+    when the model's scores overflow, so that decoding finds a NaN or +inf
+    best score."""
+    check_inputs(params, reps_list)
+    try:
+        paths = predict_paths(params, reps_list)
+    except ValueError:
+        return float("nan")
+    pred = [[vocab.labels[k] for k in path] for path in paths]
     gold = [seq.labels for seq in seqs]
     result = span_f1(gold, pred, scheme=vocab.scheme)
     return result.f1 if metric == METRIC_SPAN_F1 else result.token_accuracy
@@ -203,17 +217,19 @@ def train_step(params, reps, golds, lr, l2, grad_clip=0.0):
     Scores the batch, takes each sequence's NLL gradient, pulls them back
     onto the parameters, averages over the batch, rescales the mean to L2
     norm `grad_clip` when it is longer (0 = off) and applies
-    theta <- theta - lr * (grad + l2 * theta).  A non-finite loss is
-    returned with `params` left untouched.
+    theta <- theta - lr * (grad + l2 * theta).  A non-finite loss or mean
+    gradient raises TrainingDiverged (without epoch and batch) naming the
+    loss or the first non-finite field, with `params` left untouched.
     """
-    lattices = score_lattices(params, reps)
-    results = nll_and_grad_batch(lattices, golds)
-    loss = sum(r[0] for r in results)
+    losses, lat_grads = nll_and_grad_stacked(score_lattices(params, reps), golds)
+    loss = sum(losses.tolist())
     if not np.isfinite(loss):
-        return loss
-    grad = backprop_lattices(params, reps, [r[1] for r in results])
-    for g in grad.values():
+        raise TrainingDiverged(None, None, None)
+    grad = backprop_lattices(params, reps, lat_grads)
+    for name, g in grad.items():
         g *= 1.0 / len(reps)
+        if not np.isfinite(g).all():
+            raise TrainingDiverged(name, None, None, kind="gradient")
     if grad_clip > 0.0:
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grad.values()))
         if norm > grad_clip:
@@ -270,11 +286,11 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
         total_loss = 0.0
         for b, lo in enumerate(range(0, n, config.batch_size)):
             batch = order[lo: lo + config.batch_size]
-            loss = train_step(params, [reps[k] for k in batch], [gold[k] for k in batch],
-                              lr, config.l2, config.grad_clip)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(None, epoch, b)
-            total_loss += loss
+            try:
+                total_loss += train_step(params, [reps[k] for k in batch],
+                                         [gold[k] for k in batch], lr, config.l2, config.grad_clip)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(exc.field, epoch, b, exc.kind) from None
             for name, arr in params.param_items():
                 if not np.all(np.isfinite(arr)):
                     raise TrainingDiverged(name, epoch, b)

@@ -8,10 +8,13 @@ import pytest
 from chaincrf import (
     Family,
     SyntheticSpec,
+    build_label_vocab,
     generate_synthetic,
+    init_params,
     load_embeddings,
     load_model,
     read_conll,
+    save_model,
     score_lattices,
     sequence_to_reps,
     write_conll,
@@ -295,6 +298,25 @@ def test_tag_non_finite_embedding_exit_1(tmp_path, capsys):
     assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(poisoned),
                  "--input", str(paths["test"]), "--output", str(tmp_path / "out.conll")]) == 1
     assert "error: line %d: non-finite embedding value" % len(lines) in capsys.readouterr().err
+
+
+def test_tag_overflowing_model_exit_1(tmp_path, capsys):
+    # every value is finite, but the scores overflow and decode to nan
+    paths = write_corpus(tmp_path)
+    vocab = build_label_vocab(read_conll(paths["train"]))
+    params = init_params(Family.D_QUADRILINEAR, vocab.size, 10, seed=1, d_t=8, d_r=6)
+    for name in ("u_h1", "u_h2", "label_embeddings"):
+        params.arrays[name] *= 1e80
+    model = tmp_path / "overflowing.model"
+    save_model(params, vocab, model)
+    out = tmp_path / "out.conll"
+    with np.errstate(all="ignore"):
+        assert main(["tag", "--model", str(model), "--embeddings", str(paths["emb"]),
+                     "--input", str(paths["test"]), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: in sequences 0-19: best path score of sequence ")
+    assert "NaN or +inf" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad_row, message", [

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,15 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincrf import (
+    Family,
+    LatticeBatch,
+    RepresentationSequence,
     brute_force_best_path,
     brute_force_log_partition,
     brute_force_pairwise_marginals,
     decode_softmax,
+    init_params,
     log_partition,
     make_rng,
     nll_and_grad,
     nll_and_grad_batch,
     pairwise_marginals,
+    score_lattices,
     viterbi,
     viterbi_batch,
 )
@@ -267,29 +273,106 @@ def test_batch_bit_identical_to_per_sequence(batch):
     assert_batch_matches_reference(*batch)
 
 
-@settings(max_examples=60, deadline=None)
-@given(ragged_batches(), st.integers(1, 200))
-def test_batch_bit_identical_across_chunks(batch, chunk_cells):
-    # a small cell budget splits the batch into many chunks
-    with mock.patch.object(inference, "CHUNK_CELLS", chunk_cells):
-        assert_batch_matches_reference(*batch)
-
-
 def test_batch_larger_than_one_chunk():
     rng = make_rng(4)
     L = 17
     lats = [rng.standard_normal((int(M), L, L)) for M in rng.integers(30, 51, size=200)]
     golds = [[int(y) for y in rng.integers(0, L, size=lat.shape[0])] for lat in lats]
-    chunks = [(idx, buf.size) for idx, buf, _, _ in inference._chunks(lats)]
-    assert len(chunks) > 1
-    assert sorted(i for idx, _ in chunks for i in idx) == list(range(len(lats)))
-    assert max(size for _, size in chunks) <= inference.CHUNK_CELLS
     assert_batch_matches_reference(lats, golds)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=8), st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_batch_bit_identical_on_scored_batch(family, lengths, seed):
+    # score_lattices' LatticeBatch is read in place, not stacked again
+    rng = make_rng(seed)
+    p = init_params(family, 4, 5, seed=seed % 7, d_t=4, d_r=3, mlp_hidden=6)
+    reps = [RepresentationSequence.from_array(rng.standard_normal((m, 5))) for m in lengths]
+    lats = score_lattices(p, reps)
+    assert isinstance(lats, LatticeBatch)
+    golds = [[int(y) for y in rng.integers(0, 4, size=m)] for m in lengths]
+    assert_batch_matches_reference(lats, golds)
+
+
+def test_decoding_a_scored_batch_allocates_little():
+    rng = make_rng(6)
+    p = init_params(Family.D_QUADRILINEAR, 17, 20, seed=1, d_t=8, d_r=8)
+    reps = [RepresentationSequence.from_array(rng.standard_normal((int(m), 20)))
+            for m in rng.integers(10, 51, size=100)]
+    lats = score_lattices(p, reps)
+    tracemalloc.start()
+    try:
+        viterbi_batch(lats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * lats.flat.nbytes
+
+
+def test_lattice_batch_is_a_sequence_of_views():
+    lats = [random_lattice(M, 3, seed=M) for M in (2, 1, 4)]
+    batch = LatticeBatch.of(lats)
+    assert LatticeBatch.of(batch) is batch
+    assert len(batch) == 3
+    assert batch.flat.shape == (7, 3, 3)
+    assert batch.lengths.tolist() == [2, 1, 4]
+    assert batch.starts.tolist() == [0, 2, 3]
+    assert batch[2].base is batch.flat and batch[2].tobytes() == lats[2].tobytes()
+    assert batch[-1].tobytes() == lats[-1].tobytes()
+    assert [a.tobytes() for a in batch[1:]] == [a.tobytes() for a in lats[1:]]
+    assert [a.tobytes() for a in batch[::-2]] == [a.tobytes() for a in lats[::-2]]
+    assert [a.tobytes() for a in batch] == [a.tobytes() for a in lats]
+    assert [a.size for a in batch] == [18, 9, 36]
+    with pytest.raises(IndexError):
+        batch[3]
+    with pytest.raises(ValueError, match="share L"):
+        LatticeBatch.of([np.zeros((1, 2, 2)), np.zeros((1, 3, 3))])
+    for lengths in ([2, 0, 5], [2, 4]):     # a zero length, or rows left over
+        with pytest.raises(ValueError, match="not positive lengths of the 7 stacked rows"):
+            LatticeBatch(batch.flat, lengths)
+    empty = LatticeBatch.of([])
+    assert len(empty) == 0 and list(empty) == [] and empty[:] == []
+    scored = score_lattices(init_params(Family.VANILLA_CRF, 3, 2, seed=0), [])
+    assert len(scored) == 0 and scored.flat.shape == (0, 3, 3)
+    assert viterbi_batch(scored) == [] and nll_and_grad_batch(scored, []) == []
 
 
 def test_batch_empty():
     assert viterbi_batch([]) == []
     assert nll_and_grad_batch([], []) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decoding_rejects_nan_and_plus_inf_scores(bad):
+    lats = [random_lattice(3, 4, seed=k) for k in range(3)]
+    lats[1][2, 0, 3] = bad
+    with pytest.raises(ValueError, match="sequence 1 of the batch is (nan|inf)"):
+        viterbi_batch(lats)
+    with pytest.raises(ValueError, match="best path score of the lattice is (nan|inf)"):
+        viterbi(lats[1])
+    lats[1][:] = lats[1][:, :1]     # row-constant, as softmax lattices are
+    with pytest.raises(ValueError, match="best path score of the lattice"):
+        decode_softmax(lats[1])
+
+
+def test_decoding_allows_a_fully_masked_lattice():
+    lat = np.full((3, 2, 2), -np.inf)
+    for got in (viterbi(lat), viterbi_batch([lat])[0], decode_softmax(lat)):
+        assert got.score == -np.inf
+
+
+def test_decoding_an_overflowing_model_raises():
+    # finite parameters whose scores overflow: inf - inf turns to nan
+    rng = make_rng(0)
+    p = init_params(Family.D_QUADRILINEAR, 5, 8, seed=1, d_t=6, d_r=7)
+    for name in ("u_h1", "u_h2", "label_embeddings"):
+        p.arrays[name] *= 1e80
+    reps = [RepresentationSequence.from_array(rng.standard_normal((m, 8))) for m in (3, 6)]
+    with np.errstate(all="ignore"):
+        lats = score_lattices(p, reps)
+        with pytest.raises(ValueError, match="sequence 0 of the batch is nan"):
+            viterbi_batch(lats)
 
 
 def test_batch_rejects_bad_input():

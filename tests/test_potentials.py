@@ -433,6 +433,18 @@ def test_non_finite_representation_names_sequence(bad):
             backprop_lattices(p, reps_list, grads)
 
 
+def test_empty_sequence_is_rejected():
+    # built directly, bypassing from_array; the stacked recursions would
+    # read a neighbour's rows for it
+    reps_list = [small_reps(), RepresentationSequence(h=np.zeros((0, SMALL["d_h"])))]
+    grads = [np.zeros((r.length, 4, 4)) for r in reps_list]
+    p = small_params(Family.VANILLA_CRF)
+    for run in (lambda: score_lattices(p, reps_list), lambda: predict_paths(p, reps_list),
+                lambda: backprop_lattices(p, reps_list, grads)):
+        with pytest.raises(ValueError, match="empty sequence 1 of the batch"):
+            run()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_representation_in_later_block_names_sequence(bad):
     # a budget of 6 positions cuts (3, 2 | 4 | 5 | 2, 3) into 4 blocks; the

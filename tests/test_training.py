@@ -222,6 +222,58 @@ def test_train_non_finite_loss_raises():
     assert str(info.value) == "training diverged: non-finite loss at epoch 1, batch 0"
 
 
+def _overflowing_d_quadrilinear(*args, **kwargs):
+    # finite parameters whose marginals overflow: every gradient field is
+    # non-finite while the loss is finite
+    p = init_params(*args, **kwargs)
+    for name in ("u_h1", "u_h2"):
+        p.arrays[name] *= 1e10
+    return p
+
+
+def test_train_step_leaves_params_untouched_on_non_finite_gradient():
+    rng = make_rng(0)
+    reps = [RepresentationSequence.from_array(rng.standard_normal((int(m), 8)) / np.sqrt(8))
+            for m in rng.integers(3, 12, size=8)]
+    golds = [[int(y) for y in rng.integers(0, 5, size=r.length)] for r in reps]
+    p = _overflowing_d_quadrilinear(Family.D_QUADRILINEAR, 5, 8, seed=1, d_t=6, d_r=7)
+    before = {name: arr.tobytes() for name, arr in p.param_items()}
+    for clip in (0.0, 1.0):
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+            training.train_step(p, reps, golds, 0.1, 1e-8, clip)
+        assert (info.value.field, info.value.kind) == ("label_embeddings", "gradient")
+        assert (info.value.epoch, info.value.batch) == (None, None)
+        assert str(info.value) == "training diverged: non-finite gradient in label_embeddings"
+        assert {name: arr.tobytes() for name, arr in p.param_items()} == before
+
+
+def test_train_names_non_finite_gradient():
+    spec = SyntheticSpec(num_labels=5, vocab_size=30, d_h=8, order="first", min_len=3,
+                         max_len=11, n_train=8, n_dev=4, n_test=2, seed=0)
+    train_set, dev_set, _, table = generate_synthetic(spec)
+    config = TrainConfig(family=Family.D_QUADRILINEAR, max_epochs=2, seed=1, d_t=6, d_r=7)
+    with np.errstate(all="ignore"), \
+            mock.patch.object(training, "init_params", _overflowing_d_quadrilinear), \
+            pytest.raises(TrainingDiverged) as info:
+        train(config, train_set, dev_set, table)
+    assert (info.value.field, info.value.epoch, info.value.batch) == ("label_embeddings", 0, 0)
+    assert str(info.value) == ("training diverged: non-finite gradient in label_embeddings"
+                               " at epoch 0, batch 0")
+
+
+def test_dev_metric_of_overflowing_model_is_nan():
+    train_set, dev_set, _, table = tiny_corpus(n=6, seed=9)
+    vocab = build_label_vocab(train_set)
+    p = init_params(Family.D_QUADRILINEAR, vocab.size, table.dim, seed=1, d_t=4, d_r=3)
+    for name in ("u_h1", "u_h2", "label_embeddings"):
+        p.arrays[name] *= 1e80
+    reps = [sequence_to_reps(seq, table) for seq in dev_set]
+    with np.errstate(all="ignore"):
+        assert math.isnan(evaluate_model(p, dev_set, reps, vocab, "span_f1"))
+        with pytest.raises(ValueError, match=r"^in sequences 0-\d+: best path score of sequence"):
+            predict_paths(p, reps)
+
+
 def test_report_csv_round_trip(tmp_path):
     train_set, dev_set, _, table = tiny_corpus(n=6, seed=10)
     config = TrainConfig(family=Family.VANILLA_CRF, max_epochs=2, seed=1)
@@ -262,9 +314,11 @@ def _traced_peak(fn):
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_predict_paths_memory_stays_within_two_blocks(family):
-    # 10 blocks of 1000 positions.  Decoding a block holds its lattices,
-    # their padded Viterbi copy and back pointers (1/L of a block), so the
-    # peak stays near two blocks; whole-batch scoring holds all ten.
+    # 10 blocks of 1000 positions.  Decoding a block reads its lattices in
+    # place and holds back pointers of 1/L of a block, so the peak is about
+    # 1.2 blocks (2.2 for concat-MLP, whose scoring holds a block of
+    # distinct-row scores next to the lattices); whole-batch scoring holds
+    # all ten.
     L, d_h = 17, 4
     p = init_params(family, L, d_h, seed=2, d_t=4, d_r=3, mlp_hidden=4)
     reps = [RepresentationSequence.from_array(make_rng(k).standard_normal((20, d_h)))
