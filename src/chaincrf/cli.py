@@ -17,6 +17,7 @@ import os
 import re
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -269,11 +270,14 @@ def cmd_gradcheck(args) -> int:
 
 def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
               batch=32, reps=10, seed=0, warmup=2):
-    """Mean wall time of one training step and of one batch decode.
+    """Mean wall time of one training step and of one batch decode, and
+    the memory one training step allocates.
 
     Both run the path `train` and `tag` run: a training step is one
     `training.train_step` on the batch, and decoding scores the batch and
     decodes it with `decode_paths`; its time is reported per sequence.
+    `train_step_peak_mb` is the tracemalloc peak (in 10**6 bytes) of one
+    more, untimed step.
     """
     for name, value in (("length", length), ("batch", batch), ("reps", reps)):
         if value < 1:
@@ -308,10 +312,17 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
         t0 = time.perf_counter()
         one_decode_pass()
         decode_times.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        one_step()
+        step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "family": family.value,
         "train_step_seconds": sum(step_times) / reps,
         "decode_seconds_per_sequence": sum(decode_times) / (reps * batch),
+        "train_step_peak_mb": step_peak / 1e6,
     }
 
 
@@ -355,9 +366,9 @@ def cmd_bench(args) -> int:
         text = json.dumps({"environment": bench_environment(), "settings": settings,
                            "rows": rows}) + "\n"
     else:
-        header = "family,train_step_seconds,decode_seconds_per_sequence"
-        text = "\n".join([header] + [
-            "%s,%r,%r" % (r["family"], r["train_step_seconds"], r["decode_seconds_per_sequence"])
+        columns = list(rows[0])
+        text = "\n".join([",".join(columns)] + [
+            ",".join([r["family"]] + [repr(r[c]) for c in columns[1:]])
             for r in rows
         ]) + "\n"
     print(text, end="")

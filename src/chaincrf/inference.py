@@ -85,14 +85,23 @@ def pairwise_marginals(lat) -> np.ndarray:
     return _marginals_from_messages(lat, alpha, beta, log_sum_exp(alpha[-1]))
 
 
-def _check_best(score, k=None) -> float:
-    """`score`, a best path score, unless it is NaN or +inf, as a NaN or +inf
-    anywhere in the lattice makes it: then ValueError naming the lattice
-    (`k`, its sequence's index in a batch).  -inf (every path masked) passes."""
-    if math.isnan(score) or score == math.inf:
+class BadBestScore(ValueError):
+    """A best path `score` is NaN or +inf, as a NaN or +inf anywhere in the
+    lattice makes it; the message names the lattice by `k`, its sequence's
+    index in a batch, when given."""
+
+    def __init__(self, score, k=None):
+        self.score = score
         name = "the lattice" if k is None else "sequence %d of the batch" % k
-        raise ValueError("best path score of %s is %s: its scores hold NaN or +inf"
+        super().__init__("best path score of %s is %s: its scores hold NaN or +inf"
                          " (overflowed potentials?)" % (name, score))
+
+
+def _check_best(score, k=None) -> float:
+    """`score`, a best path score, unless it is NaN or +inf: then
+    BadBestScore.  -inf (every path masked) passes."""
+    if math.isnan(score) or score == math.inf:
+        raise BadBestScore(score, k)
     return score
 
 
@@ -252,7 +261,8 @@ def viterbi_batch(lattices) -> list:
     flat = batch.flat
     order, first, active = _time_major(batch)
     best = flat[first, 0]
-    back = np.empty(flat.shape[:2], dtype=np.int64)
+    # back pointers in the smallest unsigned type that holds L - 1
+    back = np.empty(flat.shape[:2], dtype=np.min_scalar_type(flat.shape[1] - 1))
     for m, n in enumerate(active[1:], 1):
         rows = first[:n] + m
         cand = flat[rows]

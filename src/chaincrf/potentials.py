@@ -348,24 +348,20 @@ def _neighbor_rows(x, starts, prev, times=None):
 
 
 def _word_factors(params, h_all, starts):
-    """Word-factor vectors of a decomposed family for the stacked
-    positions.
+    """Word-factor vectors of d-quadrilinear or d-pentalinear for the
+    stacked positions.
 
     Previous/next-word factors never leak across sequences; out-of-range
     neighbors produce a ones row so boundary positions keep a
     well-defined, trainable potential.
     """
-    f = params.family
     w = params.arrays
-    if f is Family.D_TRILINEAR:
-        factors = (h_all @ w["u_h"],)
-    else:
-        ones = np.ones((h_all.shape[0], params.d_r))
-        factors = (_neighbor_rows(h_all @ w["u_h1"], starts, prev=True, times=ones),
-                   h_all @ w["u_h2"])
-        if f is Family.D_PENTALINEAR:
-            factors += (_neighbor_rows(h_all @ w["u_h3"], starts, prev=False,
-                                       times=np.ones_like(ones)),)
+    ones = np.ones((h_all.shape[0], params.d_r))
+    factors = (_neighbor_rows(h_all @ w["u_h1"], starts, prev=True, times=ones),
+               h_all @ w["u_h2"])
+    if params.family is Family.D_PENTALINEAR:
+        factors += (_neighbor_rows(h_all @ w["u_h3"], starts, prev=False,
+                                   times=np.ones_like(ones)),)
     return factors
 
 
@@ -571,25 +567,31 @@ def _accumulate_decomposed(params, pre, h_all, starts, gext):
     L = params.num_labels
     f = params.family
     w = params.arrays
-    total = h_all.shape[0]
-    factors = _word_factors(params, h_all, starts)
-    W = factors[0]
-    for extra in factors[1:]:
-        W = W * extra
+    flat = gext.reshape(h_all.shape[0], -1)
+    if f is Family.D_TRILINEAR:
+        # as in trilinear, K[p, ab] = sum_m h[m, p] gamma[m, a, b] carries all
+        # the position dependence; Q and the u_h gradient contract K
+        K = h_all.T @ flat
+        Q = K.T @ w["u_h"]
+    else:
+        factors = _word_factors(params, h_all, starts)
+        W = factors[0]
+        for extra in factors[1:]:
+            W = W * extra
+        # base[m] = gamma[m] contracted with the label-factor products
+        base = flat @ pre["G12"]
+        # Q[a, b, j] = sum over all positions of gamma[m, a, b] * W[m, j];
+        # the transposed view feeds the GEMM directly, no transpose copy
+        Q = flat.T @ W
+    Q = Q.reshape(L + 1, L, params.d_r)
     G1, G2 = pre["G1"], pre["G2"]
     T_ext, T_cur = pre["T_ext"], pre["T_cur"]
-    # base[m] = gamma[m] contracted with the label-factor products
-    flat = gext.reshape(total, -1)
-    base = flat @ pre["G12"]
-    # Q[a, b, j] = sum over all positions of gamma[m, a, b] * W[m, j];
-    # the transposed view feeds the GEMM directly, no transpose copy
-    Q = (flat.T @ W).reshape(L + 1, L, params.d_r)
     D1 = np.einsum("abj,bj->aj", Q, G2, optimize=True)
     D2 = np.einsum("abj,aj->bj", Q, G1, optimize=True)
     g = {"u_t1": T_ext.T @ D1, "u_t2": T_cur.T @ D2, "label_embeddings": D1 @ w["u_t1"].T}
     g["label_embeddings"][:L] += D2 @ w["u_t2"].T
     if f is Family.D_TRILINEAR:
-        g["u_h"] = h_all.T @ base
+        g["u_h"] = K @ pre["G12"]
         return g
     h_prev = _neighbor_rows(h_all, starts, prev=True)
     if f is Family.D_QUADRILINEAR:

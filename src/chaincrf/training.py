@@ -23,6 +23,7 @@ from .evaluation import span_f1
 # perfbench's tracer wraps `nll_and_grad` and `viterbi` in this module's
 # namespace, so they stay imported although nothing here calls them.
 from .inference import (  # noqa: F401
+    BadBestScore,
     cell_blocks,
     decode_softmax,
     nll_and_grad,
@@ -152,9 +153,17 @@ def _epoch_rng(seed, epoch):
 
 
 def decode_paths(params, lattices):
-    if params.family is Family.SOFTMAX:
-        return [decode_softmax(lat).labels for lat in lattices]
-    return [res.labels for res in viterbi_batch(lattices)]
+    """Label paths of a batch of lattices; a NaN or +inf best score raises
+    BadBestScore naming its sequence's index in the batch."""
+    if params.family is not Family.SOFTMAX:
+        return [res.labels for res in viterbi_batch(lattices)]
+    paths = []
+    for k, lat in enumerate(lattices):
+        try:
+            paths.append(decode_softmax(lat).labels)
+        except BadBestScore as exc:
+            raise BadBestScore(exc.score, k) from None
+    return paths
 
 
 def predict_paths(params, reps_list):
@@ -244,9 +253,10 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
     """Train one model; returns (best parameters, report).
 
     Each minibatch takes one `train_step`.  The dev metric is evaluated
-    every epoch and the parameters of the best epoch are returned; with
-    an empty dev set training runs to max_epochs and returns the final
-    parameters.
+    every epoch and the parameters of the best epoch are returned (the
+    initial ones when no epoch's metric beats -inf), kept in one snapshot
+    copied over at each improving epoch; with an empty dev set training
+    runs to max_epochs and returns the trained parameters, with no copy.
     """
     train_set = list(train_set)
     if not train_set:
@@ -275,7 +285,8 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
         d_t=config.d_t, d_r=config.d_r, mlp_hidden=config.mlp_hidden,
     )
     report = TrainReport(metric_name=metric)
-    best_params = params.copy()
+    # the dev set's one snapshot of the best epoch, refreshed in place
+    best_params = params.copy() if dev_set else params
     best_metric = -math.inf
     since_best = 0
     n = len(train_set)
@@ -308,7 +319,8 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
         if dev_set:
             if dev_metric > best_metric:
                 best_metric = dev_metric
-                best_params = params.copy()
+                for name, arr in params.param_items():
+                    np.copyto(best_params.arrays[name], arr)
                 report.best_epoch = epoch
                 since_best = 0
             else:
@@ -318,7 +330,6 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
             if since_best >= config.patience:
                 break
     if not dev_set:
-        best_params = params
         report.best_epoch = len(report.epochs) - 1
         report.best_dev_f1 = float("nan")
     else:

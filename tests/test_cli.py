@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -319,6 +320,24 @@ def test_tag_overflowing_model_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tag_overflowing_softmax_model_exit_1(tmp_path, capsys):
+    # softmax decodes one sequence at a time, and still names the sequence
+    paths = write_corpus(tmp_path)
+    vocab = build_label_vocab(read_conll(paths["train"]))
+    params = init_params(Family.SOFTMAX, vocab.size, 10, seed=1)
+    params.arrays["w_h"] *= 1e308
+    model = tmp_path / "overflowing.model"
+    save_model(params, vocab, model)
+    out = tmp_path / "out.conll"
+    with np.errstate(all="ignore"):
+        assert main(["tag", "--model", str(model), "--embeddings", str(paths["emb"]),
+                     "--input", str(paths["test"]), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: in sequences 0-19: best path score of sequence \d+ of the batch"
+                    r" is (nan|inf): its scores hold NaN or \+inf", err), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_row, message", [
     ("bad" + " 0.5" * 9 + " x", "non-numeric embedding value"),
     ("bad" + " 0.5" * 9, "expected 10 dimensions, got 9"),
@@ -451,8 +470,10 @@ def test_bench_smoke(tmp_path, capsys):
                  "--d-t", "6", "--d-r", "4", "--length", "5", "--batch", "2",
                  "--reps", "2", "--output", str(out_path)]) == 0
     lines = out_path.read_text().splitlines()
-    assert lines[0].startswith("family,")
+    assert lines[0] == ("family,train_step_seconds,decode_seconds_per_sequence,"
+                        "train_step_peak_mb")
     assert lines[1].startswith("vanilla-crf,")
+    assert len(lines[1].split(",")) == 4
     capsys.readouterr()
 
 
@@ -477,6 +498,7 @@ def test_bench_json_rows_and_environment(tmp_path, capsys):
     for row in record["rows"]:
         assert row["train_step_seconds"] > 0.0
         assert row["decode_seconds_per_sequence"] > 0.0
+        assert row["train_step_peak_mb"] > 0.0
     env = record["environment"]
     assert env["numpy"] == np.__version__
     assert env["nproc"] == os.cpu_count()

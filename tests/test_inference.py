@@ -310,6 +310,21 @@ def test_decoding_a_scored_batch_allocates_little():
     assert peak < 0.5 * lats.flat.nbytes
 
 
+@pytest.mark.parametrize("L", [3, 257], ids=["uint8", "uint16"])
+def test_batch_back_pointers_hold_every_label(L):
+    # back pointers are stored in the smallest unsigned type that holds L - 1
+    rng = make_rng(L)
+    lats = [rng.standard_normal((int(m), L, L)) for m in (1, 5, 3, 6)]
+    for lat in lats[1:]:
+        lat[1:, L - 1, :] += 5.0     # the best paths pass through label L - 1
+    got = viterbi_batch(lats)
+    assert any(L - 1 in res.labels[:-1] for res in got)
+    for lat, res in zip(lats, got):
+        ref = viterbi(lat)
+        assert res.labels == ref.labels
+        assert np.float64(res.score).tobytes() == np.float64(ref.score).tobytes()
+
+
 def test_lattice_batch_is_a_sequence_of_views():
     lats = [random_lattice(M, 3, seed=M) for M in (2, 1, 4)]
     batch = LatticeBatch.of(lats)

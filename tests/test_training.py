@@ -329,3 +329,74 @@ def test_predict_paths_memory_stays_within_two_blocks(family):
         bound = 2.5 * inference.CHUNK_CELLS * 8
         assert _traced_peak(lambda: predict_paths(p, reps)) < bound
         assert _traced_peak(lambda: score_lattices(p, reps)) > bound
+
+
+# ---------------------------------------------------------------------------
+# what `train` keeps: the trained model, plus one snapshot with a dev set
+# ---------------------------------------------------------------------------
+
+def _wide_trilinear_run(with_dev):
+    """Peak traced bytes of a short trilinear `train` whose 80 x 80 x 80
+    tensor outweighs everything else it allocates, in model bytes."""
+    spec = SyntheticSpec(num_labels=3, vocab_size=9, d_h=80, order="first", min_len=2,
+                         max_len=5, n_train=8, n_dev=4, n_test=2, seed=3)
+    train_set, dev_set, _, table = generate_synthetic(spec)
+    config = TrainConfig(family=Family.TRILINEAR, d_t=80, max_epochs=3, batch_size=4, seed=5)
+    model = init_params(Family.TRILINEAR, 3, 80, seed=5, d_t=80)
+    model_bytes = sum(arr.nbytes for _, arr in model.param_items())
+    del model
+    peak = _traced_peak(lambda: train(config, train_set, dev_set if with_dev else [], table))
+    return peak / model_bytes
+
+
+def test_train_without_dev_set_keeps_no_snapshot():
+    # the weights and the step's gradient: about 2.14 models (3.14 with a
+    # snapshot nothing reads)
+    assert _wide_trilinear_run(with_dev=False) < 2.5
+
+
+def test_train_with_dev_set_keeps_one_snapshot():
+    # the weights, the snapshot and the step's gradient, plus the step's
+    # label-sized temporaries and sgd_update's scratch: about 3.14 models
+    # (a fresh copy at each improving epoch would add a fourth)
+    assert _wide_trilinear_run(with_dev=True) < 3.25
+
+
+def test_dev_set_returns_the_best_epoch_bit_for_bit():
+    train_set, dev_set, _, table = tiny_corpus(n=12, seed=0)
+    config = TrainConfig(family=Family.TRILINEAR, d_t=4, max_epochs=8, patience=3,
+                         batch_size=4, seed=0, learning_rate=0.5)
+    best, report = train(config, train_set, dev_set, table)
+    # improving epochs refresh the snapshot, and later ones leave it
+    assert 0 < report.best_epoch < len(report.epochs) - 1
+    config.max_epochs = report.best_epoch + 1
+    final, _ = train(config, train_set, [], table)
+    for (name, a), (_, b) in zip(best.param_items(), final.param_items()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_all_nan_dev_metric_returns_initial_params():
+    train_set, dev_set, _, table = tiny_corpus(n=8, seed=3)
+    config = TrainConfig(family=Family.D_TRILINEAR, d_t=4, d_r=3, max_epochs=2, seed=4)
+    with mock.patch.object(training, "evaluate_model", return_value=float("nan")):
+        params, report = train(config, train_set, dev_set, table)
+    assert report.best_epoch == -1
+    assert report.best_dev_f1 == -math.inf
+    want = init_params(Family.D_TRILINEAR, 3, 10, seed=4, d_t=4, d_r=3)
+    for (name, a), (_, b) in zip(params.param_items(), want.param_items()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_softmax_decode_names_the_overflowing_sequence():
+    rng = make_rng(0)
+    p = init_params(Family.SOFTMAX, 5, 8, seed=1)
+    p.arrays["w_h"] *= 1e308
+    reps = [RepresentationSequence.from_array(rng.standard_normal((m, 8))) for m in (3, 6)]
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="in sequences 0-1: best path score of "
+                                             "sequence 0 of the batch is inf"):
+            predict_paths(p, reps)
+        lats = score_lattices(p, reps)
+        lats[0][:] = 0.0
+        with pytest.raises(inference.BadBestScore, match="sequence 1 of the batch"):
+            training.decode_paths(p, lats)
