@@ -45,6 +45,7 @@ from .potentials import (
     Family,
     RepresentationSequence,
     backprop_lattices,
+    cpu_count,
     init_params,
     score_lattice,
     score_lattices,
@@ -341,14 +342,15 @@ def blas_threads():
 
 
 def bench_environment():
-    """numpy and BLAS versions, nproc and the BLAS thread count."""
+    """numpy and BLAS versions, nproc, the BLAS thread count and `cpus`,
+    the threads of the concat-MLP passes."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):   # numpy < 1.26 has no dict form
         blas = {}
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"), "nproc": os.cpu_count(),
-            "blas_threads": blas_threads()}
+            "blas_threads": blas_threads(), "cpus": cpu_count()}
 
 
 def cmd_bench(args) -> int:

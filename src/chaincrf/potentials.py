@@ -39,11 +39,14 @@ their bytes are): scoring gathers the distinct rows' scores into every
 position, and the pullback first sums the lattice-gradient rows of each
 distinct input.  The (rows, L, L, hidden) tanh activations are formed in
 blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole batch,
-and the pullback recomputes them block by block.
+and the pullback recomputes them block by block.  The blocks run on one
+thread per CPU (`_each_block`), with results byte-identical to one.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -392,18 +395,83 @@ def _mlp_blocks(rows, cells_per_row):
     return [slice(lo, min(lo + k, rows)) for lo in range(0, rows, k)]
 
 
+def cpu_count() -> int:
+    """Number of CPUs this process may run on, and so of the threads that
+    run the concat-MLP blocks (`taskset` lowers it)."""
+    return len(os.sched_getaffinity(0))
+
+
+def _each_block(blocks, buf_shape, run, merge=None):
+    """Call run(blk, buf) for every slice of `blocks` on one thread per CPU
+    (`cpu_count`, capped at the block count; one block runs inline), the
+    calling thread among them.  Each thread claims the next unclaimed
+    block and owns one scratch buffer `buf` of `buf_shape`.
+
+    Given `merge`, run returns a partial result and merge(partial) is
+    called under the lock strictly in block order, by whichever thread
+    completes the next block to merge, so the merged result is the serial
+    loop's bit for bit; a thread claims no block more than two per thread
+    ahead of the merge, which bounds the partials held.  An exception
+    raised in any block stops the claiming and is re-raised here once
+    every thread has ended.
+    """
+    workers = min(cpu_count(), len(blocks))
+    ahead = 2 * workers
+    lock = threading.Condition()
+    claimed = merged = 0
+    error = None
+    partials = {}
+
+    def work(buf):
+        nonlocal claimed, merged, error
+        try:
+            while True:
+                with lock:
+                    while merge is not None and error is None and claimed - merged >= ahead:
+                        lock.wait()
+                    if error is not None or claimed == len(blocks):
+                        return
+                    k = claimed
+                    claimed += 1
+                part = run(blocks[k], buf)
+                if merge is not None:
+                    with lock:
+                        partials[k] = part
+                        while merged in partials:
+                            merge(partials.pop(merged))
+                            merged += 1
+                        lock.notify_all()
+        except BaseException as exc:
+            with lock:
+                error = error or exc
+                lock.notify_all()
+
+    threads = [threading.Thread(target=work, args=(np.empty(buf_shape),))
+               for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    work(np.empty(buf_shape))
+    for t in threads:
+        t.join()
+    if error is not None:
+        raise error
+
+
 def _mlp_scores(Zw, Zl, w2, out):
     """out[m, r] = tanh(Zw[m] + Zl[r]) . w2 for word pre-activations Zw
     (n, H) and label pre-activations Zl (R, H); `out` is a contiguous
-    (n, R) array.  The activations never exist beyond one block."""
+    (n, R) array.  The activations never exist beyond one block per
+    thread (see `_each_block`)."""
     R, H = Zl.shape
     blocks = _mlp_blocks(len(Zw), R * H)
-    buf = np.empty((blocks[0].stop, R, H))
-    for blk in blocks:
+
+    def run(blk, buf):
         u = buf[: blk.stop - blk.start]
         np.add(Zw[blk, None, :], Zl[None], out=u)
         np.tanh(u, out=u)
         np.matmul(u.reshape(-1, H), w2, out=out[blk].reshape(-1))
+
+    _each_block(blocks, (blocks[0].stop, R, H), run)
     return out
 
 
@@ -413,25 +481,33 @@ def _mlp_pullback(Zw, Zl, w2, grad):
     Recomputes the activations block by block and returns
     (d w2, S_w, S_l): S_w (n, H) and S_l (R, H) are the pre-activation
     gradients summed over the label rows and over the positions, still
-    without their common factor w2, which the caller applies once.
+    without their common factor w2, which the caller applies once.  The
+    sums over blocks are merged in block order, whatever the threads.
     """
     R, H = Zl.shape
     blocks = _mlp_blocks(len(Zw), R * H)
-    buf = np.empty((blocks[0].stop, R, H))
     g_w2 = np.zeros(H)
     S_w = np.empty((len(Zw), H))
     S_l = np.zeros((R, H))
-    for blk in blocks:
+
+    def run(blk, buf):
         u = buf[: blk.stop - blk.start]
         g = grad[blk]
         np.add(Zw[blk, None, :], Zl[None], out=u)
         np.tanh(u, out=u)
-        g_w2 += g.reshape(-1) @ u.reshape(-1, H)
+        part_w2 = g.reshape(-1) @ u.reshape(-1, H)
         np.square(u, out=u)
         np.subtract(1.0, u, out=u)          # u now holds tanh' = 1 - tanh^2
         # S_w[m] = g[m] . u[m] and S_l[r] += g[:, r] . u[:, r], as batched GEMVs
         np.matmul(g[:, None, :], u, out=S_w[blk, None, :])
-        S_l += np.matmul(g.T[:, None, :], u.transpose(1, 0, 2))[:, 0]
+        return part_w2, np.matmul(g.T[:, None, :], u.transpose(1, 0, 2))[:, 0]
+
+    def merge(part):
+        nonlocal g_w2, S_l
+        g_w2 += part[0]
+        S_l += part[1]
+
+    _each_block(blocks, (blocks[0].stop, R, H), run, merge)
     return g_w2, S_w, S_l
 
 

@@ -55,12 +55,18 @@ class TrainConfig:
     subsample_fraction: float = 1.0
     lr_decay: float = 1.0       # per-epoch multiplicative factor; 1.0 = constant
     grad_clip: float = 0.0      # max L2 norm of the batch gradient; 0 = off
-    threads: int = 1            # only 1; kept for callers that still pass it
+    # inert (the MLP blocks run on one thread per CPU whatever it says);
+    # it stays, accepting only 1, while perfbench passes threads=1
+    # (ROADMAP item 1 removes both)
+    threads: int = 1
     metric: str = METRIC_AUTO
     target_dev_metric: float | None = None
 
     def __post_init__(self):
         self.family = Family(self.family)
+        for name in ("learning_rate", "lr_decay", "l2", "grad_clip"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.lr_decay <= 0:

@@ -178,7 +178,9 @@ def test_train_zero_size_exit_1(tmp_path, capsys, family, size):
     ("grad_clip", -1.0, "grad_clip must be at least 0"),
     ("max_epochs", 0, "max_epochs must be at least 1"),
     ("patience", 0, "patience must be at least 1"),
-])
+] + [(key, value, "%s must be finite, got %s" % (key, value))
+     for key in ("learning_rate", "lr_decay", "l2", "grad_clip")
+     for value in ("nan", "inf")])
 def test_train_bad_config_value_exit_1(tmp_path, capsys, key, value, message):
     paths = write_corpus(tmp_path, n=10)
     config_path, cfg = base_config(tmp_path, paths, **{key: value})
@@ -502,7 +504,8 @@ def test_bench_json_rows_and_environment(tmp_path, capsys):
     env = record["environment"]
     assert env["numpy"] == np.__version__
     assert env["nproc"] == os.cpu_count()
-    assert set(env) == {"numpy", "blas", "blas_version", "nproc", "blas_threads"}
+    assert set(env) == {"numpy", "blas", "blas_version", "nproc", "blas_threads", "cpus"}
+    assert env["cpus"] == len(os.sched_getaffinity(0))
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     assert record["settings"] == {"labels": 3, "d_h": 4, "d_t": 3, "d_r": 2, "length": 3,
                                   "batch": 2, "reps": 1, "seed": 0}

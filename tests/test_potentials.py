@@ -1,3 +1,5 @@
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -762,3 +764,81 @@ def test_nll_gradient_batch_with_repeated_word(family):
     numeric = finite_diff_grad(loss, p, step=1e-5)
     for name, num in numeric.items():
         assert max_relative_error(analytic[name], num) < 1e-4, name
+
+
+# ---------------------------------------------------------------------------
+# the concat-MLP blocks on one thread per CPU
+# ---------------------------------------------------------------------------
+
+def _with_cpus(n):
+    """Patch the CPU-count source so the MLP passes run on n threads."""
+    return mock.patch.object(potentials.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _mlp_threads_batch(family, lengths):
+    p = init_params(family, 17, 6, seed=4, d_t=3, mlp_hidden=128)
+    reps_list = [random_reps(m, 6, seed=60 + m) for m in lengths]
+    grads = [make_rng(70 + i).standard_normal((r.length, 17, 17))
+             for i, r in enumerate(reps_list)]
+    return p, reps_list, grads
+
+
+@pytest.mark.parametrize("cells,lengths,blocks", [
+    (potentials.MLP_BLOCK_CELLS, [9, 1, 14, 5, 20], 7),   # default budget: 7 rows a block
+    (1, [9, 1, 14, 5, 20], 49),                           # one row a block
+    (potentials.MLP_BLOCK_CELLS, [3], 1),                 # one block, run inline
+], ids=["default", "tiny", "one-block"])
+@pytest.mark.parametrize("family", MLP, ids=lambda f: f.value)
+def test_mlp_threads_match_one_worker_byte_for_byte(family, cells, lengths, blocks):
+    p, reps_list, grads = _mlp_threads_batch(family, lengths)
+    switch = sys.getswitchinterval()
+    results = {}
+    try:
+        sys.setswitchinterval(1e-6)   # interleave the threads as often as possible
+        with mock.patch.object(potentials, "MLP_BLOCK_CELLS", cells):
+            assert len(potentials._mlp_blocks(sum(lengths), 17 * 17 * 128)) == blocks
+            for n in (1, 2, 3):
+                with _with_cpus(n):
+                    g = backprop_lattices(p, reps_list, grads)
+                    results[n] = [score_lattices(p, reps_list).flat.tobytes()] + [
+                        g[name].tobytes() for name in FAMILY_FIELDS[family]]
+    finally:
+        sys.setswitchinterval(switch)
+    assert results[2] == results[1]
+    assert results[3] == results[1]
+
+
+class _BoomRows(np.ndarray):
+    """Word pre-activations whose row slice starting at `bad` raises."""
+
+    bad = 4
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and isinstance(key[0], slice) and key[0].start == self.bad:
+            raise RuntimeError("boom in block %d" % self.bad)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("pass_name", ["_mlp_scores", "_mlp_pullback"])
+def test_mlp_block_exception_reaches_caller(pass_name):
+    rng = make_rng(3)
+    R, H, n = 5, 4, 12
+    Zw = rng.standard_normal((n, H)).view(_BoomRows)
+    Zl, w2 = rng.standard_normal((R, H)), rng.standard_normal(H)
+    last = np.empty((n, R)) if pass_name == "_mlp_scores" else rng.standard_normal((n, R))
+    start = threading.active_count()
+    caught = []
+
+    def call():
+        try:
+            getattr(potentials, pass_name)(Zw, Zl, w2, last)
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    with mock.patch.object(potentials, "MLP_BLOCK_CELLS", R * H), _with_cpus(3):
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(e) for e in caught] == ["boom in block 4"]
+    assert threading.active_count() == start

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from unittest import mock
@@ -19,6 +20,7 @@ from chaincrf import (
     init_params,
     make_rng,
     nll_and_grad,
+    save_model,
     score_lattice,
     score_lattices,
     sequence_to_reps,
@@ -128,7 +130,9 @@ def test_train_rejects_zero_d_r():
     ("grad_clip", -1.0, "grad_clip must be at least 0"),
     ("max_epochs", 0, "max_epochs must be at least 1"),
     ("patience", 0, "patience must be at least 1"),
-])
+] + [(name, value, "%s must be finite, got %r" % (name, value))
+     for name in ("learning_rate", "lr_decay", "l2", "grad_clip")
+     for value in (math.nan, math.inf)])
 def test_train_config_rejects_bad_value(field, value, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
@@ -151,6 +155,25 @@ def test_train_deterministic_bit_identical():
     b, _ = train(config, train_set, dev_set, table)
     for (name, arr_a), (_, arr_b) in zip(a.param_items(), b.param_items()):
         assert arr_a.tobytes() == arr_b.tobytes(), name
+
+
+@pytest.mark.parametrize("family", [Family.CONCAT_MLP_1W2L, Family.CONCAT_MLP_2W2L],
+                         ids=lambda f: f.value)
+def test_mlp_training_is_byte_identical_on_one_and_two_threads(family):
+    train_set, dev_set, _, table = tiny_corpus(n=16, seed=6)
+    config = TrainConfig(family=family, d_t=4, mlp_hidden=8, max_epochs=2, batch_size=4,
+                         seed=9)
+    files = []
+    for cpus in (1, 2):
+        # one distinct word input per block, so every batch has many blocks
+        with mock.patch.object(potentials.os, "sched_getaffinity",
+                               lambda pid, n=cpus: set(range(n))), \
+                mock.patch.object(potentials, "MLP_BLOCK_CELLS", 1):
+            params, _ = train(config, train_set, dev_set, table)
+        buf = io.StringIO()
+        save_model(params, build_label_vocab(train_set), buf)
+        files.append(buf.getvalue())
+    assert files[1] == files[0]
 
 
 def test_train_config_rejects_threads_above_one():
@@ -316,15 +339,17 @@ def _traced_peak(fn):
 def test_predict_paths_memory_stays_within_two_blocks(family):
     # 10 blocks of 1000 positions.  Decoding a block reads its lattices in
     # place and holds back pointers of 1/L of a block, so the peak is about
-    # 1.2 blocks (2.2 for concat-MLP, whose scoring holds a block of
-    # distinct-row scores next to the lattices); whole-batch scoring holds
-    # all ten.
+    # 1.2 blocks (2.33-2.34 for concat-MLP, whose scoring holds a block of
+    # distinct-row scores next to the lattices, plus an activation buffer
+    # and an add temporary of 0.056 blocks each per thread: 2.21-2.23 on one
+    # thread, so two are pinned here); whole-batch scoring holds all ten.
     L, d_h = 17, 4
     p = init_params(family, L, d_h, seed=2, d_t=4, d_r=3, mlp_hidden=4)
     reps = [RepresentationSequence.from_array(make_rng(k).standard_normal((20, d_h)))
             for k in range(500)]
     with mock.patch.object(inference, "CHUNK_CELLS", 1000 * L * L), \
-            mock.patch.object(potentials, "MLP_BLOCK_CELLS", 1 << 14):
+            mock.patch.object(potentials, "MLP_BLOCK_CELLS", 1 << 14), \
+            mock.patch.object(potentials.os, "sched_getaffinity", lambda pid: {0, 1}):
         assert len(inference.cell_blocks([r.length for r in reps], L)) == 10
         bound = 2.5 * inference.CHUNK_CELLS * 8
         assert _traced_peak(lambda: predict_paths(p, reps)) < bound
