@@ -402,10 +402,13 @@ def cpu_count() -> int:
 
 
 def _each_block(blocks, buf_shape, run, merge=None):
-    """Call run(blk, buf) for every slice of `blocks` on one thread per CPU
-    (`cpu_count`, capped at the block count; one block runs inline), the
-    calling thread among them.  Each thread claims the next unclaimed
-    block and owns one scratch buffer `buf` of `buf_shape`.
+    """Call run(blk, buf) for every slice of `blocks`, on one thread per
+    CPU the process may run on (capped at the block count; one block runs
+    inline).  Each thread is bound to its own CPU of that set: on a
+    2-vCPU VM the scheduler was seen keeping two unbound threads on one
+    CPU for hundreds of milliseconds while the other idled.  A thread
+    claims the next unclaimed block and owns one scratch buffer `buf` of
+    `buf_shape`, allocated by the caller.
 
     Given `merge`, run returns a partial result and merge(partial) is
     called under the lock strictly in block order, by whichever thread
@@ -415,8 +418,8 @@ def _each_block(blocks, buf_shape, run, merge=None):
     raised in any block stops the claiming and is re-raised here once
     every thread has ended.
     """
-    workers = min(cpu_count(), len(blocks))
-    ahead = 2 * workers
+    cpus = sorted(os.sched_getaffinity(0))[: len(blocks)]
+    ahead = 2 * len(cpus)
     lock = threading.Condition()
     claimed = merged = 0
     error = None
@@ -446,13 +449,22 @@ def _each_block(blocks, buf_shape, run, merge=None):
                 error = error or exc
                 lock.notify_all()
 
-    threads = [threading.Thread(target=work, args=(np.empty(buf_shape),))
-               for _ in range(workers - 1)]
-    for t in threads:
-        t.start()
-    work(np.empty(buf_shape))
-    for t in threads:
-        t.join()
+    def bound(cpu, buf):
+        try:
+            os.sched_setaffinity(threading.get_native_id(), {cpu})
+        except OSError:     # the CPU left the set since it was read: run unbound
+            pass
+        work(buf)
+
+    if len(cpus) == 1:
+        work(np.empty(buf_shape))
+    else:
+        threads = [threading.Thread(target=bound, args=(cpu, np.empty(buf_shape)))
+                   for cpu in cpus]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     if error is not None:
         raise error
 

@@ -808,6 +808,17 @@ def test_mlp_threads_match_one_worker_byte_for_byte(family, cells, lengths, bloc
     assert results[3] == results[1]
 
 
+def test_mlp_threads_are_bound_to_distinct_cpus():
+    p, reps_list, _ = _mlp_threads_batch(Family.CONCAT_MLP_1W2L, [9, 14])
+    calls = []
+    with _with_cpus(3), mock.patch.object(potentials.os, "sched_setaffinity",
+                                          lambda tid, cpus: calls.append((tid, *cpus))):
+        score_lattices(p, reps_list)
+    assert sorted(cpu for _, cpu in calls) == [0, 1, 2]
+    assert len({tid for tid, _ in calls}) == 3
+    assert threading.get_native_id() not in {tid for tid, _ in calls}
+
+
 class _BoomRows(np.ndarray):
     """Word pre-activations whose row slice starting at `bad` raises."""
 
