@@ -29,7 +29,7 @@ from .inference import (
     decode_softmax,
     log_partition,
     nll_and_grad,
-    nll_and_grad_batch,
+    nll_and_grad_stacked,
     pairwise_marginals,
     viterbi,
     viterbi_batch,
@@ -92,7 +92,7 @@ __all__ = [
     "make_rng",
     "mean_and_std",
     "nll_and_grad",
-    "nll_and_grad_batch",
+    "nll_and_grad_stacked",
     "pairwise_marginals",
     "read_conll",
     "reconstruct_dense_trilinear",

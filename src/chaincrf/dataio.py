@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,18 @@ def build_label_vocab(seqs, scheme=None) -> LabelVocab:
     return LabelVocab(labels=labels, id_of={lab: k for k, lab in enumerate(labels)}, scheme=scheme)
 
 
+@contextmanager
+def open_text(file, mode="r"):
+    """`file` itself when it is a file object that can be read (mode "r")
+    or written (mode "w"), else the path `file` opened as UTF-8 text in
+    `mode` and closed on exit.  Every reader and writer here takes either."""
+    if hasattr(file, "read" if mode == "r" else "write"):
+        yield file
+    else:
+        with open(file, mode, encoding="utf-8") as fh:
+            yield fh
+
+
 # ---------------------------------------------------------------------------
 # CoNLL reading and writing
 # ---------------------------------------------------------------------------
@@ -95,13 +108,8 @@ def read_conll(source) -> list:
     single-column lines).  Mixing column counts inside one sentence is an
     error reported with the offending line number.
     """
-    if hasattr(source, "read"):
-        return _read_conll_lines(source.read().splitlines())
-    with open(source, "r", encoding="utf-8") as fh:
-        return _read_conll_lines(fh.read().splitlines())
-
-
-def _read_conll_lines(lines):
+    with open_text(source) as fh:
+        lines = fh.read().splitlines()
     out = []
     tokens, labels, ncols = [], [], None
 
@@ -134,21 +142,14 @@ def _read_conll_lines(lines):
 
 def write_conll(seqs, target):
     """Write sequences as 'token label' lines with blank-line separators."""
-    if hasattr(target, "write"):
-        _write_conll_fh(seqs, target)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            _write_conll_fh(seqs, fh)
-
-
-def _write_conll_fh(seqs, fh):
-    for seq in seqs:
-        for i, tok in enumerate(seq.tokens):
-            if seq.labels is None:
-                fh.write("%s\n" % tok)
-            else:
-                fh.write("%s %s\n" % (tok, seq.labels[i]))
-        fh.write("\n")
+    with open_text(target, "w") as fh:
+        for seq in seqs:
+            for i, tok in enumerate(seq.tokens):
+                if seq.labels is None:
+                    fh.write("%s\n" % tok)
+                else:
+                    fh.write("%s %s\n" % (tok, seq.labels[i]))
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +281,11 @@ def load_embeddings(source, expected_dim=None) -> EmbeddingTable:
     token and its floats per line.  One `np.loadtxt` call parses the values
     of all lines into an (n, d) matrix; tokens map to its rows, and the
     unknown vector is the mean of the rows kept."""
-    if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_embeddings(fh, expected_dim)
     tokens, declared, dim, row = [], None, expected_dim, None
 
-    def rows():
+    def rows(fh):
         nonlocal declared, dim, row
-        for lineno, line in enumerate(source, start=1):
+        for lineno, line in enumerate(fh, start=1):
             if lineno == 1 and len(line.split()) == 2:
                 try:
                     declared = tuple(int(v) for v in line.split())
@@ -308,7 +306,9 @@ def load_embeddings(source, expected_dim=None) -> EmbeddingTable:
             raise ValueError   # before loadtxt warns about an empty input
 
     try:
-        matrix = np.loadtxt(rows(), dtype=np.float64, comments=None, quotechar=None, ndmin=2)
+        with open_text(source) as fh:
+            matrix = np.loadtxt(rows(fh), dtype=np.float64, comments=None, quotechar=None,
+                                ndmin=2)
     except UnicodeError:   # undecodable bytes, not a malformed row
         raise
     except ValueError:
@@ -345,17 +345,11 @@ def load_embeddings(source, expected_dim=None) -> EmbeddingTable:
 
 def write_embeddings(table: EmbeddingTable, target):
     """Inverse of `load_embeddings`, with a 'count dim' header."""
-    def emit(fh):
+    with open_text(target, "w") as fh:
         fh.write("%d %d\n" % (len(table.vectors), table.dim))
         for token in table.vectors:
             vec = table.vectors[token]
             fh.write("%s %s\n" % (token, " ".join(repr(float(v)) for v in vec)))
-
-    if hasattr(target, "write"):
-        emit(target)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            emit(fh)
 
 
 def sequence_to_reps(seq: TokenSequence, table: EmbeddingTable) -> RepresentationSequence:
@@ -381,8 +375,7 @@ def save_model(params: ModelParams, vocab: LabelVocab, target):
                          % (vocab.size, params.num_labels))
     if vocab.scheme not in SCHEMES:
         raise ValueError("unknown scheme: %s" % vocab.scheme)
-
-    def emit(fh):
+    with open_text(target, "w") as fh:
         fh.write("%s %d\n" % (FORMAT_MAGIC, FORMAT_VERSION))
         fh.write("family %s\n" % params.family.value)
         fh.write("num_labels %d\n" % params.num_labels)
@@ -400,12 +393,6 @@ def save_model(params: ModelParams, vocab: LabelVocab, target):
             for row in flat:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
         fh.write("end\n")
-
-    if hasattr(target, "write"):
-        emit(target)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            emit(fh)
 
 
 class _LineReader:
@@ -440,12 +427,8 @@ class _LineReader:
 
 def load_model(source):
     """Read a model file written by `save_model`; returns (params, vocab)."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    rd = _LineReader(lines)
+    with open_text(source) as fh:
+        rd = _LineReader(fh.read().splitlines())
     head = rd.next().split()
     if len(head) != 2 or head[0] != FORMAT_MAGIC:
         raise ValueError("not a model file")

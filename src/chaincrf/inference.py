@@ -281,13 +281,6 @@ def viterbi_batch(lattices) -> list:
             for k, (s, m, v) in enumerate(zip(batch.starts, batch.lengths, score))]
 
 
-def nll_and_grad_batch(lattices, golds) -> list:
-    """`nll_and_grad` of every (lattice, gold) pair, bit-identical to it:
-    a list of (loss, gradient) in batch order, from `nll_and_grad_stacked`."""
-    losses, grads = nll_and_grad_stacked(lattices, golds)
-    return [(float(v), g) for v, g in zip(losses, grads)]
-
-
 def nll_and_grad_stacked(lattices, golds):
     """(losses, gradients) of a batch: the losses as one array and the
     gradients as one `LatticeBatch`, stacked as the lattices are.

@@ -40,7 +40,8 @@ position, and the pullback first sums the lattice-gradient rows of each
 distinct input.  The (rows, L, L, hidden) tanh activations are formed in
 blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole batch,
 and the pullback recomputes them block by block.  The blocks run on one
-thread per CPU (`_each_block`), with results byte-identical to one.
+thread per CPU where the platform can bind threads, and on one thread
+elsewhere (`_each_block`), with results byte-identical to one.
 """
 
 from __future__ import annotations
@@ -395,15 +396,23 @@ def _mlp_blocks(rows, cells_per_row):
     return [slice(lo, min(lo + k, rows)) for lo in range(0, rows, k)]
 
 
+def _cpus() -> list:
+    """The CPUs this process may run on (`taskset` lowers them), one
+    concat-MLP thread each; one unbound entry where the platform can
+    neither read nor set a thread's CPUs (macOS, Windows)."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")):
+        return [None]
+    return sorted(os.sched_getaffinity(0))
+
+
 def cpu_count() -> int:
-    """Number of CPUs this process may run on, and so of the threads that
-    run the concat-MLP blocks (`taskset` lowers it)."""
-    return len(os.sched_getaffinity(0))
+    """Number of the threads that run the concat-MLP blocks."""
+    return len(_cpus())
 
 
 def _each_block(blocks, buf_shape, run, merge=None):
     """Call run(blk, buf) for every slice of `blocks`, on one thread per
-    CPU the process may run on (capped at the block count; one block runs
+    CPU of `_cpus()` (capped at the block count; one block or one CPU runs
     inline).  Each thread is bound to its own CPU of that set: on a
     2-vCPU VM the scheduler was seen keeping two unbound threads on one
     CPU for hundreds of milliseconds while the other idled.  A thread
@@ -418,7 +427,7 @@ def _each_block(blocks, buf_shape, run, merge=None):
     raised in any block stops the claiming and is re-raised here once
     every thread has ended.
     """
-    cpus = sorted(os.sched_getaffinity(0))[: len(blocks)]
+    cpus = _cpus()[: len(blocks)]
     ahead = 2 * len(cpus)
     lock = threading.Condition()
     claimed = merged = 0
@@ -681,17 +690,16 @@ def _accumulate_decomposed(params, pre, h_all, starts, gext):
     if f is Family.D_TRILINEAR:
         g["u_h"] = K @ pre["G12"]
         return g
-    h_prev = _neighbor_rows(h_all, starts, prev=True)
-    if f is Family.D_QUADRILINEAR:
-        G3, G4 = factors
-        g["u_h1"] = h_prev.T @ (base * G4)
-        g["u_h2"] = h_all.T @ (base * G3)
-        return g
-    G3, G4, G5 = factors
-    h_next = _neighbor_rows(h_all, starts, prev=False)
-    g["u_h1"] = h_prev.T @ (base * G4 * G5)
-    g["u_h2"] = h_all.T @ (base * G3 * G5)
-    g["u_h3"] = h_next.T @ (base * G3 * G4)
+    # each word field's rows (previous, current, next word) against base
+    # times the other word factors, multiplied in field order (the order
+    # fixes the rounding of the products)
+    for k, name in enumerate(FAMILY_FIELDS[f][3:]):
+        rows = h_all if k == 1 else _neighbor_rows(h_all, starts, prev=k == 0)
+        prod = base
+        for j, other in enumerate(factors):
+            if j != k:
+                prod = prod * other
+        g[name] = rows.T @ prod
     return g
 
 

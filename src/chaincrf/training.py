@@ -17,6 +17,7 @@ from .dataio import (
     SCHEME_PLAIN,
     EmbeddingTable,
     build_label_vocab,
+    open_text,
     sequence_to_reps,
 )
 from .evaluation import span_f1
@@ -64,9 +65,15 @@ class TrainConfig:
 
     def __post_init__(self):
         self.family = Family(self.family)
-        for name in ("learning_rate", "lr_decay", "l2", "grad_clip"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
+        for name in ("batch_size", "max_epochs", "patience", "d_t", "d_r", "mlp_hidden", "seed",
+                     "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+        for name in ("learning_rate", "lr_decay", "l2", "grad_clip", "target_dev_metric"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.lr_decay <= 0:
@@ -126,16 +133,10 @@ class TrainReport:
         )
 
     def to_csv(self, target):
-        def emit(fh):
+        with open_text(target, "w") as fh:
             fh.write("epoch,train_loss,dev_metric,seconds\n")
             for r in self.epochs:
                 fh.write("%d,%r,%r,%r\n" % (r.epoch, r.train_loss, r.dev_metric, r.seconds))
-
-        if hasattr(target, "write"):
-            emit(target)
-        else:
-            with open(target, "w", encoding="utf-8") as fh:
-                emit(fh)
 
 
 def subsample(train_set, fraction, seed):

@@ -21,7 +21,7 @@ from chaincrf import (
     write_conll,
     write_embeddings,
 )
-from chaincrf import inference, training
+from chaincrf import cli, inference, training
 from chaincrf.cli import (
     ConfigError,
     dump_config,
@@ -457,9 +457,23 @@ def test_gradcheck_all_families_passes(capsys):
         assert "%s viterbi_path err=0.000e+00" % family.value in out
 
 
-def test_gradcheck_corrupted_gradient_exit_4(capsys):
-    assert main(["gradcheck", "--family", "vanilla-crf", "--corrupt", "w_h"]) == 4
+def test_gradcheck_corrupted_gradient_exit_4(capsys, monkeypatch):
+    pullback = cli.backprop_lattices
+
+    def corrupted(*args):
+        grad = pullback(*args)
+        grad["w_h"] = grad["w_h"] + 1e-2
+        return grad
+
+    monkeypatch.setattr(cli, "backprop_lattices", corrupted)
+    assert main(["gradcheck", "--family", "vanilla-crf"]) == 4
     assert "w_h" in capsys.readouterr().err
+
+
+def test_gradcheck_has_no_corrupt_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["gradcheck", "--family", "vanilla-crf", "--corrupt", "w_h"])
+    assert "unrecognized arguments: --corrupt" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +523,16 @@ def test_bench_json_rows_and_environment(tmp_path, capsys):
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     assert record["settings"] == {"labels": 3, "d_h": 4, "d_t": 3, "d_r": 2, "length": 3,
                                   "batch": 2, "reps": 1, "seed": 0}
+
+
+def test_bench_json_without_affinity_calls(capsys, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_setaffinity")
+    assert main(["bench", "--family", "concat-mlp-1w2l", "--labels", "3", "--d-h", "4",
+                 "--d-t", "3", "--length", "3", "--batch", "2", "--reps", "1", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["environment"]["cpus"] == 1
+    assert record["rows"][0]["family"] == "concat-mlp-1w2l"
 
 
 @pytest.mark.parametrize("flag", ["--reps", "--batch", "--length", "--labels", "--d-h"])

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import pickle
 import tempfile
 import warnings
 
@@ -26,12 +27,14 @@ from chaincrf import (
     write_conll,
     write_embeddings,
 )
+from chaincrf import dataio
 from chaincrf.dataio import (
     EmbeddingTable,
     LabelVocab,
     detect_scheme,
     spans_from_bio,
 )
+from chaincrf.training import EpochRecord, TrainReport
 
 
 # ---------------------------------------------------------------------------
@@ -732,3 +735,62 @@ def test_malformed_model_file_raises_value_error(family, data):
         lines[k] = " ".join(cells)
         text = "\n".join(lines) + "\n"
     assert type(_load_model_error(text)) is ValueError
+
+
+# ---------------------------------------------------------------------------
+# files: every reader takes a path or an open text file, every writer a
+# path or a writable file
+# ---------------------------------------------------------------------------
+
+_SEQS = [TokenSequence(["Zürich", "is", "cold"], ["S-LOC", "O", "O"]), TokenSequence(["ok"])]
+_TABLE = EmbeddingTable(dim=2, vectors={"Zürich": np.array([0.1, -2.5]),
+                                        "is": np.array([1e-300, 3.0])}, unk=np.zeros(2))
+_PARAMS = init_params(Family.D_QUADRILINEAR, 2, 4, seed=5, d_t=3, d_r=2)
+_REPORT = TrainReport(epochs=[EpochRecord(0, 1.5, 0.25, 0.125),
+                              EpochRecord(1, 0.1, float("nan"), 0.5)])
+WRITERS = {
+    "write_conll": lambda target: write_conll(_SEQS, target),
+    "write_embeddings": lambda target: write_embeddings(_TABLE, target),
+    "save_model": lambda target: save_model(_PARAMS, build_label_vocab(_SEQS[:1]), target),
+    "to_csv": _REPORT.to_csv,
+}
+READERS = {"read_conll": "write_conll", "load_embeddings": "write_embeddings",
+           "load_model": "save_model"}
+
+
+def _record_opened(monkeypatch):
+    """The list of the files that `dataio` opens by path from now on."""
+    files = []
+
+    def recording_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(dataio, "open", recording_open, raising=False)
+    return files
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_write_the_same_bytes_to_a_path_and_a_file(writer, tmp_path, monkeypatch):
+    buf = io.StringIO()
+    WRITERS[writer](buf)
+    assert not buf.closed
+    files = _record_opened(monkeypatch)
+    path = tmp_path / "out.txt"
+    WRITERS[writer](path)
+    assert len(files) == 1 and files[0].closed
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_read_the_same_from_a_path_and_a_file(reader, tmp_path, monkeypatch):
+    path = tmp_path / "in.txt"
+    WRITERS[READERS[reader]](path)
+    read = getattr(dataio, reader)
+    files = _record_opened(monkeypatch)
+    from_path = read(path)
+    assert len(files) == 1 and files[0].closed
+    with open(path, encoding="utf-8") as fh:
+        from_file = read(fh)
+        assert not fh.closed
+    assert pickle.dumps(from_file) == pickle.dumps(from_path)

@@ -20,7 +20,7 @@ from chaincrf import (
     log_partition,
     make_rng,
     nll_and_grad,
-    nll_and_grad_batch,
+    nll_and_grad_stacked,
     pairwise_marginals,
     score_lattices,
     viterbi,
@@ -189,7 +189,7 @@ def test_nll_rejects_bad_labels():
 def test_nll_rejects_non_integer_labels(label):
     lat = np.zeros((3, 4, 4))
     for run in (lambda: nll_and_grad(lat, [0, label, 2]),
-                lambda: nll_and_grad_batch([lat], [[0, label, 2]])):
+                lambda: nll_and_grad_stacked([lat], [[0, label, 2]])):
         with pytest.raises(ValueError, match="label index %s is not an integer"
                            % re.escape(repr(label))):
             run()
@@ -199,7 +199,8 @@ def test_nll_accepts_numpy_integer_labels():
     lat = random_lattice(3, 4, seed=2)
     gold = np.array([0, 3, 1])
     want = nll_and_grad(lat, [0, 3, 1])
-    for got in (nll_and_grad(lat, gold), nll_and_grad_batch([lat], [gold])[0]):
+    losses, grads = nll_and_grad_stacked([lat], [gold])
+    for got in (nll_and_grad(lat, gold), (losses[0], grads[0])):
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
 
@@ -255,9 +256,9 @@ def assert_batch_matches_reference(lats, golds):
     # masked lattices can give inf/nan losses; both sides must agree on them
     with np.errstate(all="ignore"):
         decoded = viterbi_batch(lats)
-        nlls = nll_and_grad_batch(lats, golds)
-        assert len(decoded) == len(nlls) == len(lats)
-        for lat, gold, got, (loss, grad) in zip(lats, golds, decoded, nlls):
+        losses, grads = nll_and_grad_stacked(lats, golds)
+        assert len(decoded) == len(losses) == len(grads) == len(lats)
+        for lat, gold, got, loss, grad in zip(lats, golds, decoded, losses, grads):
             ref = viterbi(lat)
             ref_loss, ref_grad = nll_and_grad(lat, gold)
             assert got.labels == ref.labels
@@ -350,12 +351,15 @@ def test_lattice_batch_is_a_sequence_of_views():
     assert len(empty) == 0 and list(empty) == [] and empty[:] == []
     scored = score_lattices(init_params(Family.VANILLA_CRF, 3, 2, seed=0), [])
     assert len(scored) == 0 and scored.flat.shape == (0, 3, 3)
-    assert viterbi_batch(scored) == [] and nll_and_grad_batch(scored, []) == []
+    assert viterbi_batch(scored) == []
+    losses, grads = nll_and_grad_stacked(scored, [])
+    assert losses.shape == (0,) and len(grads) == 0
 
 
 def test_batch_empty():
     assert viterbi_batch([]) == []
-    assert nll_and_grad_batch([], []) == []
+    losses, grads = nll_and_grad_stacked([], [])
+    assert losses.shape == (0,) and len(grads) == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -394,17 +398,17 @@ def test_batch_rejects_bad_input():
     with pytest.raises(ValueError, match="share L"):
         viterbi_batch([np.zeros((2, 3, 3)), np.zeros((2, 4, 4))])
     with pytest.raises(ValueError, match="share L"):
-        nll_and_grad_batch([np.zeros((2, 3, 3)), np.zeros((2, 4, 4))], [[0, 0], [0, 0]])
+        nll_and_grad_stacked([np.zeros((2, 3, 3)), np.zeros((2, 4, 4))], [[0, 0], [0, 0]])
     with pytest.raises(ValueError, match=r"shape \(M, L, L\)"):
         viterbi_batch([np.zeros((2, 3, 4))])
     with pytest.raises(ValueError, match="length 1 does not match lattice length 2"):
-        nll_and_grad_batch([np.zeros((2, 3, 3))], [[0]])
+        nll_and_grad_stacked([np.zeros((2, 3, 3))], [[0]])
     with pytest.raises(ValueError, match="invalid label index 3 for 3 labels"):
-        nll_and_grad_batch([np.zeros((1, 3, 3)), np.zeros((2, 3, 3))], [[0], [0, 3]])
+        nll_and_grad_stacked([np.zeros((1, 3, 3)), np.zeros((2, 3, 3))], [[0], [0, 3]])
     with pytest.raises(ValueError, match="invalid label index -1"):
-        nll_and_grad_batch([np.zeros((2, 3, 3))], [[-1, 0]])
+        nll_and_grad_stacked([np.zeros((2, 3, 3))], [[-1, 0]])
     with pytest.raises(ValueError, match="2 lattices but 1 gold"):
-        nll_and_grad_batch([np.zeros((2, 3, 3))] * 2, [[0, 0]])
+        nll_and_grad_stacked([np.zeros((2, 3, 3))] * 2, [[0, 0]])
 
 
 def test_cell_blocks_cut_greedily_in_input_order():

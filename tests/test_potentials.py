@@ -819,6 +819,24 @@ def test_mlp_threads_are_bound_to_distinct_cpus():
     assert threading.get_native_id() not in {tid for tid, _ in calls}
 
 
+@pytest.mark.parametrize("family", MLP, ids=lambda f: f.value)
+def test_mlp_runs_inline_without_affinity_calls(family, monkeypatch):
+    # macOS and Windows have neither call: the blocks run on one thread
+    p, reps_list, grads = _mlp_threads_batch(family, [9, 1, 14, 5, 20])
+
+    def results():
+        g = backprop_lattices(p, reps_list, grads)
+        return [score_lattices(p, reps_list).flat.tobytes()] + [
+            g[name].tobytes() for name in FAMILY_FIELDS[family]]
+
+    with _with_cpus(1):
+        want = results()
+    monkeypatch.delattr(potentials.os, "sched_getaffinity")
+    monkeypatch.delattr(potentials.os, "sched_setaffinity")
+    assert potentials.cpu_count() == 1
+    assert results() == want
+
+
 class _BoomRows(np.ndarray):
     """Word pre-activations whose row slice starting at `bad` raises."""
 

@@ -132,10 +132,26 @@ def test_train_rejects_zero_d_r():
     ("patience", 0, "patience must be at least 1"),
 ] + [(name, value, "%s must be finite, got %r" % (name, value))
      for name in ("learning_rate", "lr_decay", "l2", "grad_clip")
-     for value in (math.nan, math.inf)])
+     for value in (math.nan, math.inf)
+] + [(name, value, "%s must be an integer, got %r" % (name, value))
+     for name, value in (("batch_size", 2.5), ("batch_size", True), ("max_epochs", 1.5),
+                         ("d_t", 2.5), ("seed", 1.5))
+] + [("target_dev_metric", math.nan, "target_dev_metric must be finite, got nan")])
 def test_train_config_rejects_bad_value(field, value, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_integers():
+    train_set, dev_set, _, table = tiny_corpus(n=6, seed=3)
+    config = TrainConfig(family=Family.VANILLA_CRF, batch_size=np.int64(4),
+                         max_epochs=np.int32(2), seed=np.int64(2))
+    want = TrainConfig(family=Family.VANILLA_CRF, batch_size=4, max_epochs=2, seed=2)
+    got_params, got_report = train(config, train_set, dev_set, table)
+    want_params, want_report = train(want, train_set, dev_set, table)
+    assert [r.train_loss for r in got_report.epochs] == [r.train_loss for r in want_report.epochs]
+    for name, arr in want_params.param_items():
+        assert got_params.arrays[name].tobytes() == arr.tobytes()
 
 
 def test_train_learns_tiny_first_order_task():

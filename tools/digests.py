@@ -1,0 +1,117 @@
+"""Print one `name sha256` line per seeded result of every family.
+
+A change that claims byte-identical results prints the same lines as its
+parent.  Run it on both trees with BLAS on one thread and compare:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digests.py > after.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<parent>/src python tools/digests.py > before.txt
+    diff before.txt after.txt
+
+Prefix both runs with `taskset -c 0` to pin the concat-MLP blocks to one
+thread.  The digests depend on the numpy and BLAS build, so they are not
+a test: only two runs on one machine compare.
+
+Lines:
+  batch/<family>/<result>  scores, NLL losses and gradients of one ragged
+      batch that repeats a sentence, and the pullbacks of those gradients
+      and of random lattice gradients;
+  train/<family>/dev<0|1>/clip<c>  the `save_model` file of a seeded
+      3-epoch `train`, without and with a dev set, gradient clipping off
+      and at 0.5;
+  tag/<family>  `chaincrf tag` output of the no-dev-set, unclipped model
+      on a generated input.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+
+from chaincrf import (
+    Family,
+    RepresentationSequence,
+    SyntheticSpec,
+    TrainConfig,
+    backprop_lattices,
+    build_label_vocab,
+    generate_synthetic,
+    init_params,
+    make_rng,
+    save_model,
+    score_lattices,
+    train,
+    write_conll,
+    write_embeddings,
+)
+from chaincrf.cli import main
+from chaincrf.inference import nll_and_grad_stacked
+
+
+def digest(*arrays_or_text) -> str:
+    h = hashlib.sha256()
+    for x in arrays_or_text:
+        h.update(x.encode("utf-8") if isinstance(x, str) else np.ascontiguousarray(x).tobytes())
+    return h.hexdigest()
+
+
+def batch_lines(family):
+    """L=17 and 128 hidden units: the MLP passes cut the batch in blocks."""
+    L, d_h = 17, 12
+    params = init_params(family, L, d_h, seed=11, d_t=6, d_r=5, mlp_hidden=128)
+    rng = make_rng(12)
+    seqs = [rng.standard_normal((m, d_h)) / np.sqrt(d_h) for m in (5, 1, 9, 3)]
+    seqs.insert(3, seqs[0])     # a repeated sentence shares its MLP word inputs
+    reps = [RepresentationSequence.from_array(h) for h in seqs]
+    golds = [[int(y) for y in rng.integers(0, L, size=len(h))] for h in seqs]
+    lats = score_lattices(params, reps)
+    losses, grads = nll_and_grad_stacked(lats, golds)
+    pulled = backprop_lattices(params, reps, grads)
+    random = [rng.standard_normal((len(h), L, L)) for h in seqs]
+    pulled_random = backprop_lattices(params, reps, random)
+    fields = [name for name, _ in params.param_items()]
+    yield "scores", digest(lats.flat)
+    yield "nll", digest(losses, grads.flat)
+    yield "nll_pullback", digest(*(pulled[name] for name in fields))
+    yield "random_pullback", digest(*(pulled_random[name] for name in fields))
+
+
+def all_lines(workdir):
+    spec = SyntheticSpec(num_labels=9, vocab_size=60, d_h=10, order="second", min_len=1,
+                         max_len=8, n_train=40, n_dev=12, n_test=30, seed=5)
+    train_set, dev_set, test_set, table = generate_synthetic(spec)
+    emb_path = os.path.join(workdir, "emb.txt")
+    in_path = os.path.join(workdir, "in.txt")
+    write_embeddings(table, emb_path)
+    write_conll(test_set, in_path)
+    vocab = build_label_vocab(train_set)
+    for family in Family:
+        for name, value in batch_lines(family):
+            yield "batch/%s/%s" % (family.value, name), value
+        for dev in (0, 1):
+            for clip in (0.0, 0.5):
+                config = TrainConfig(family=family, d_t=6, d_r=5, mlp_hidden=128,
+                                     max_epochs=3, batch_size=8, seed=3, grad_clip=clip)
+                params, _ = train(config, train_set, dev_set if dev else [], table)
+                buf = io.StringIO()
+                save_model(params, vocab, buf)
+                yield "train/%s/dev%d/clip%g" % (family.value, dev, clip), digest(buf.getvalue())
+                if not dev and not clip:
+                    model_path = os.path.join(workdir, "model.txt")
+                    out_path = os.path.join(workdir, "out.txt")
+                    with open(model_path, "w", encoding="utf-8") as fh:
+                        fh.write(buf.getvalue())
+                    if main(["tag", "--model", model_path, "--embeddings", emb_path,
+                             "--input", in_path, "--output", out_path]) != 0:
+                        raise SystemExit("tag failed for %s" % family.value)
+                    with open(out_path, "rb") as fh:
+                        yield "tag/%s" % family.value, hashlib.sha256(fh.read()).hexdigest()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, value in all_lines(workdir):
+            print(name, value, flush=True)
