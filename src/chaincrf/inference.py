@@ -286,7 +286,7 @@ def nll_and_grad_stacked(lattices, golds):
     gradients as one `LatticeBatch`, stacked as the lattices are.
 
     Takes lattices as `viterbi_batch` does and validates as `nll_and_grad`
-    does; the marginals are formed one position step at a time.
+    does; the marginals are formed in one pass over the stacked rows.
     """
     batch = LatticeBatch.of(lattices)
     golds = [list(g) for g in golds]
@@ -298,6 +298,12 @@ def nll_and_grad_stacked(lattices, golds):
         return np.empty(0), LatticeBatch(np.zeros_like(batch.flat), [])
     flat = batch.flat
     order, first, active = _time_major(batch)
+    # gold transitions as (stacked row, previous, label) indices; the gold
+    # path scores are summed in position order along the forward sweep
+    gold_at = (np.arange(len(flat)), np.concatenate([[0] + g[:-1] for g in golds]).astype(np.int64),
+               np.concatenate(golds).astype(np.int64))
+    gold_entries = flat[gold_at]
+    path = gold_entries[first]
     alpha = np.empty(flat.shape[:2])
     alpha[first] = flat[first, 0]
     for m, n in enumerate(active[1:], 1):
@@ -305,6 +311,7 @@ def nll_and_grad_stacked(lattices, golds):
         cand = flat[rows]
         np.add(alpha[rows - 1][:, :, None], cand, out=cand)
         alpha[rows] = log_sum_exp_over_rows(cand, axis=1)
+        path[:n] += gold_entries[rows]
     beta = np.zeros(flat.shape[:2])
     for m in range(len(active) - 2, -1, -1):
         rows = first[:active[m + 1]] + m
@@ -312,22 +319,17 @@ def nll_and_grad_stacked(lattices, golds):
         cand += beta[rows + 1][:, None, :]
         beta[rows] = log_sum_exp_over_rows(cand, axis=2)
     log_z = log_sum_exp_over_rows(alpha[first + batch.lengths[order] - 1], axis=1)
-    # gold transitions as (stacked row, previous, label) indices
-    gold_at = (np.arange(len(flat)), np.concatenate([[0] + g[:-1] for g in golds]).astype(np.int64),
-               np.concatenate(golds).astype(np.int64))
-    gold_entries = flat[gold_at]
-    path = gold_entries[first]
-    grad = np.zeros_like(flat)
-    grad[first, 0] = np.exp(flat[first, 0] + beta[first] - log_z[:, None])
-    for m, n in enumerate(active[1:], 1):
-        rows = first[:n] + m
-        cand = flat[rows]
-        np.add(alpha[rows - 1][:, :, None], cand, out=cand)
-        cand += beta[rows][:, None, :]
-        cand -= log_z[:n, None, None]
-        grad[rows] = np.exp(cand, out=cand)
-        path[:n] += gold_entries[rows]
-    grad[gold_at] -= 1.0
     loss = np.empty(len(batch))
     loss[order] = log_z - path
+    # all rows' marginals exp(alpha[row - 1] + lat + beta - log Z) in one pass;
+    # first rows read alpha -inf (so exp cannot overflow) and are then rewritten
+    prev = np.roll(alpha, 1, axis=0)
+    prev[first] = -np.inf
+    grad = np.add(prev[:, :, None], flat)
+    grad += beta[:, None, :]
+    grad -= np.repeat(log_z[np.argsort(order)], batch.lengths)[:, None, None]
+    np.exp(grad, out=grad)
+    grad[first, 1:] = 0.0
+    grad[first, 0] = np.exp(flat[first, 0] + beta[first] - log_z[:, None])
+    grad[gold_at] -= 1.0
     return loss, LatticeBatch(grad, batch.lengths)

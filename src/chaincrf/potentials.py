@@ -22,7 +22,8 @@ previous or next word representation (d-quadrilinear, d-pentalinear)
 treat an out-of-range neighbor as a ones factor, so the boundary
 positions degrade to the next-lower-order potential instead of vanishing.
 The concat-MLP-2w2l family instead concatenates an all-zero vector for the
-word before the sentence.
+word before the sentence.  Both are `_neighbor_rows` shifts, which fill
+the edge rows; scoring and the pullback share `_word_factors`.
 
 Batches.  Every family pulls back a whole batch in one pass, and scores
 it in blocks: runs of whole sequences with at most `inference.CHUNK_CELLS`
@@ -31,8 +32,9 @@ training batch is one block).  Within a pass the sequences are stacked
 along the position axis, neighbor words are shifted within each sequence
 only, and each sequence's first position gets its BOS-conditioned row
 separately (each sequence is known by its first stacked row); the
-stacked rows and word factors of scoring exist for one block at a time.  The concat-MLP pre-activation splits into a word part
-and a label part (computed once per call).  The word part depends only
+stacked rows and word factors of scoring exist for one block at a time.
+The concat-MLP pre-activation splits into a word part and a label part
+(computed once per call).  The word part depends only
 on the position's word input (`h`, or `[h_prev, h]` for 2w2l), so it is
 computed once per distinct input row of the pass (rows are equal when
 their bytes are): scoring gathers the distinct rows' scores into every
@@ -50,6 +52,7 @@ import os
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -106,6 +109,7 @@ def _reading(name):
 EMBEDDING_FAMILIES = _reading("label_embeddings")
 MLP_FAMILIES = _reading("mlp_w1")
 BILINEAR_FAMILIES = _reading("w_t")
+WORD_FACTOR_FAMILIES = _reading("u_h1")
 
 # Number of multiplied factors per decomposed family: every field but the
 # label embeddings is one factor matrix.
@@ -297,14 +301,14 @@ def _precompute(params: ModelParams) -> dict:
     elif f in _FACTOR_COUNT:
         pre["G1"] = G1 = T_ext @ w["u_t1"]     # previous-label factors
         pre["G2"] = G2 = T_cur @ w["u_t2"]     # current-label factors
-        # pairwise label-factor products, split into the real-label block
-        # and the BOS row so lattices can be written without an ext table
-        pre["G12"] = (G1[:, None, :] * G2[None, :, :]).reshape(-1, params.d_r)
-        pre["G12_cur"] = pre["G12"][: L * L]
-        pre["G12_bos"] = pre["G12"][L * L:]
+        # pairwise label-factor products; A_cur and A_bos are its real-label
+        # block and BOS row as (d_r, L*L) and (d_r, L) views, so lattices
+        # are written without an ext table (d-trilinear folds u_h in)
+        pre["G12"] = G12 = (G1[:, None, :] * G2[None, :, :]).reshape(-1, params.d_r)
+        A_cur, A_bos = G12[: L * L].T, G12[L * L:].T
         if f is Family.D_TRILINEAR:
-            pre["A_cur"] = w["u_h"] @ pre["G12_cur"].T    # (d_h, L*L)
-            pre["A_bos"] = w["u_h"] @ pre["G12_bos"].T    # (d_h, L)
+            A_cur, A_bos = w["u_h"] @ A_cur, w["u_h"] @ A_bos
+        pre["A_cur"], pre["A_bos"] = A_cur, A_bos
     elif f in MLP_FAMILIES:
         d_t = params.d_t
         w1 = w["mlp_w1"]
@@ -329,44 +333,35 @@ def _stack(reps_list):
     return h_all, starts
 
 
-def _neighbor_rows(x, starts, prev, times=None):
-    """Rows of `x` shifted one position within each sequence: row m holds
-    the previous (or next) row of its own sequence, zeros where that
-    neighbor is out of range.  Given `times`, multiplies that array in
-    place by the shifted rows instead and returns it; its rows without a
-    neighbor keep their value, as if the missing neighbor were a ones
-    factor."""
+def _neighbor_rows(x, starts, prev, u=None, fill=0.0):
+    """Rows of `x`, or of x @ u given `u`, shifted one position within each
+    sequence: row m holds the previous (or next) row of its own sequence,
+    `fill` where that neighbor is out of range.  All of x @ u is one GEMM
+    into N + 1 rows, one row off the view returned (numpy would run the
+    one-row product of a two-row batch as a GEMV, which rounds otherwise)."""
+    buf = np.empty((len(x) + 1, x.shape[1] if u is None else u.shape[1]))
+    into, out = (buf[1:], buf[:-1]) if prev else (buf[:-1], buf[1:])
+    if u is None:
+        into[...] = x
+    else:
+        np.matmul(x, u, out=into)
     # rows without the neighbor: each sequence's first row, or its last
     # (`starts - 1`, where -1 is the batch's last row)
-    edge = starts if prev else starts - 1
-    rows, nbr = (slice(1, None), slice(None, -1)) if prev else (slice(None, -1), slice(1, None))
-    if times is None:
-        out = np.empty_like(x)
-        out[rows] = x[nbr]
-        out[edge] = 0.0
-        return out
-    kept = times[edge]
-    np.multiply(x[nbr], times[rows], out=times[rows])
-    times[edge] = kept
-    return times
+    out[starts if prev else starts - 1] = fill
+    return out
 
 
 def _word_factors(params, h_all, starts):
-    """Word-factor vectors of d-quadrilinear or d-pentalinear for the
-    stacked positions.
-
-    Previous/next-word factors never leak across sequences; out-of-range
-    neighbors produce a ones row so boundary positions keep a
-    well-defined, trainable potential.
-    """
+    """The word factors of d-quadrilinear or d-pentalinear for the stacked
+    positions, made one at a time in field order: previous word (`u_h1`),
+    current word (`u_h2`) and, for d-pentalinear, next word (`u_h3`).  An
+    out-of-range neighbor is a ones row, so boundary positions keep a
+    well-defined, trainable potential."""
     w = params.arrays
-    ones = np.ones((h_all.shape[0], params.d_r))
-    factors = (_neighbor_rows(h_all @ w["u_h1"], starts, prev=True, times=ones),
-               h_all @ w["u_h2"])
+    yield _neighbor_rows(h_all, starts, prev=True, u=w["u_h1"], fill=1.0)
+    yield h_all @ w["u_h2"]
     if params.family is Family.D_PENTALINEAR:
-        factors += (_neighbor_rows(h_all @ w["u_h3"], starts, prev=False,
-                                   times=np.ones_like(ones)),)
-    return factors
+        yield _neighbor_rows(h_all, starts, prev=False, u=w["u_h3"], fill=1.0)
 
 
 def _mlp_words(params, h_all, starts):
@@ -583,9 +578,18 @@ def _score_block(params, pre, reps_list, flat):
     L = params.num_labels
     f = params.family
     w = params.arrays
-    if f in (Family.D_TRILINEAR, Family.TRILINEAR):
-        np.matmul(h_all, pre["A_cur"], out=flat.reshape(-1, L * L))
-        bos = h_all[starts] @ pre["A_bos"]
+    if "A_cur" in pre:
+        # X . A for X the word rows, or the product of the word factors,
+        # each multiplied in and dropped before the next is made
+        X = h_all
+        if f in WORD_FACTOR_FAMILIES:
+            factors = _word_factors(params, h_all, starts)
+            X = next(factors)
+            for extra in factors:
+                X *= extra
+                del extra
+        np.matmul(X, pre["A_cur"], out=flat.reshape(-1, L * L))
+        bos = X[starts] @ pre["A_bos"]
     elif f in MLP_FAMILIES:
         # score each distinct word input once, then gather per position
         # ("clip" writes `out` in place: "raise" would buffer a copy of it)
@@ -597,13 +601,6 @@ def _score_block(params, pre, reps_list, flat):
         bos_rows, bos_inverse = np.unique(inverse[starts], return_inverse=True)
         bos = _mlp_scores(Zw[bos_rows], pre["Z_bos"], w2, np.empty((len(bos_rows), L)))
         bos = bos[bos_inverse]
-    elif f in (Family.D_QUADRILINEAR, Family.D_PENTALINEAR):
-        # the word-factor product, multiplied in place: no factor copies
-        W = _neighbor_rows(h_all @ w["u_h1"], starts, prev=True, times=h_all @ w["u_h2"])
-        if f is Family.D_PENTALINEAR:
-            _neighbor_rows(h_all @ w["u_h3"], starts, prev=False, times=W)
-        np.matmul(W, pre["G12_cur"].T, out=flat.reshape(-1, L * L))
-        bos = W[starts] @ pre["G12_bos"].T
     else:
         # table[a, b] + col[m, b], plus row[m, a] for three-bilinear
         col = h_all @ w["w_h1" if f is Family.THREE_BILINEAR else "w_h"]
@@ -671,15 +668,13 @@ def _accumulate_decomposed(params, pre, h_all, starts, gext):
         K = h_all.T @ flat
         Q = K.T @ w["u_h"]
     else:
-        factors = _word_factors(params, h_all, starts)
-        W = factors[0]
-        for extra in factors[1:]:
-            W = W * extra
+        factors = list(_word_factors(params, h_all, starts))
         # base[m] = gamma[m] contracted with the label-factor products
         base = flat @ pre["G12"]
-        # Q[a, b, j] = sum over all positions of gamma[m, a, b] * W[m, j];
-        # the transposed view feeds the GEMM directly, no transpose copy
-        Q = flat.T @ W
+        # Q[a, b, j] = sum over all positions of gamma[m, a, b] * W[m, j] for
+        # W the word-factor product, which is not kept; the transposed view
+        # feeds the GEMM directly, no transpose copy
+        Q = flat.T @ reduce(np.multiply, factors)
     Q = Q.reshape(L + 1, L, params.d_r)
     G1, G2 = pre["G1"], pre["G2"]
     T_ext, T_cur = pre["T_ext"], pre["T_cur"]
@@ -695,11 +690,7 @@ def _accumulate_decomposed(params, pre, h_all, starts, gext):
     # fixes the rounding of the products)
     for k, name in enumerate(FAMILY_FIELDS[f][3:]):
         rows = h_all if k == 1 else _neighbor_rows(h_all, starts, prev=k == 0)
-        prod = base
-        for j, other in enumerate(factors):
-            if j != k:
-                prod = prod * other
-        g[name] = rows.T @ prod
+        g[name] = rows.T @ reduce(np.multiply, factors[:k] + factors[k + 1:], base)
     return g
 
 

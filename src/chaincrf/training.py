@@ -8,6 +8,7 @@ generator, and each minibatch takes one `train_step`.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -70,9 +71,14 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError("%s must be an integer, got %r" % (name, value))
-        for name in ("learning_rate", "lr_decay", "l2", "grad_clip", "target_dev_metric"):
+        for name in ("learning_rate", "lr_decay", "l2", "grad_clip", "subsample_fraction",
+                     "target_dev_metric"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name == "target_dev_metric":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError("%s must be a real number, got %r" % (name, value))
+            if name != "subsample_fraction" and not math.isfinite(value):
                 raise ValueError("%s must be finite, got %r" % (name, value))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -374,7 +375,7 @@ def test_tag_inconsistent_model_exit_1(tmp_path, capsys):
     paths = write_corpus(tmp_path)
     config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
     assert main(["train", "--config", str(config_path)]) == 0
-    lines = open(cfg["model_path"], encoding="utf-8").read().splitlines()
+    lines = Path(cfg["model_path"]).read_text(encoding="utf-8").splitlines()
     k = lines.index("labels 3")
     # header says 2 labels and the third label name is dropped
     lines = lines[:k] + ["labels 2"] + lines[k + 1: k + 3] + lines[k + 4:]
@@ -401,7 +402,7 @@ def test_tag_malformed_model_exit_1(tmp_path, capsys, edit, message):
     paths = write_corpus(tmp_path)
     config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
     assert main(["train", "--config", str(config_path)]) == 0
-    lines = open(cfg["model_path"], encoding="utf-8").read().splitlines()
+    lines = Path(cfg["model_path"]).read_text(encoding="utf-8").splitlines()
     broken = tmp_path / "broken.model"
     broken.write_text("\n".join(edit(lines)) + "\n")
     capsys.readouterr()

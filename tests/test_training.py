@@ -136,7 +136,12 @@ def test_train_rejects_zero_d_r():
 ] + [(name, value, "%s must be an integer, got %r" % (name, value))
      for name, value in (("batch_size", 2.5), ("batch_size", True), ("max_epochs", 1.5),
                          ("d_t", 2.5), ("seed", 1.5))
-] + [("target_dev_metric", math.nan, "target_dev_metric must be finite, got nan")])
+] + [("target_dev_metric", math.nan, "target_dev_metric must be finite, got nan")
+] + [(name, value, "%s must be a real number, got %r" % (name, value))
+     for name, value in (("learning_rate", None), ("learning_rate", "0.1"), ("l2", None),
+                         ("subsample_fraction", "x"), ("learning_rate", True),
+                         ("grad_clip", True), ("lr_decay", "1"), ("target_dev_metric", "0.9"))
+])
 def test_train_config_rejects_bad_value(field, value, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
@@ -370,6 +375,20 @@ def test_predict_paths_memory_stays_within_two_blocks(family):
         bound = 2.5 * inference.CHUNK_CELLS * 8
         assert _traced_peak(lambda: predict_paths(p, reps)) < bound
         assert _traced_peak(lambda: score_lattices(p, reps)) > bound
+
+
+@pytest.mark.parametrize("family", [Family.D_QUADRILINEAR, Family.D_PENTALINEAR],
+                         ids=lambda f: f.value)
+def test_scoring_holds_at_most_two_word_factor_arrays(family):
+    # 4000 positions x d_r = 512 outweigh the (4000, 2, 2) lattices, so the
+    # peak counts word-factor arrays: the product and the factor being
+    # multiplied in (about 2.03).  Keeping the last factor alive while the
+    # next one is made holds three for d-pentalinear (3.03).
+    d_h, d_r = 8, 512
+    p = init_params(family, 2, d_h, seed=4, d_t=4, d_r=d_r)
+    reps = [RepresentationSequence.from_array(make_rng(k).standard_normal((40, d_h)))
+            for k in range(100)]
+    assert _traced_peak(lambda: score_lattices(p, reps)) < 2.5 * 4000 * d_r * 8
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ Lines:
   batch/<family>/<result>  scores, NLL losses and gradients of one ragged
       batch that repeats a sentence, and the pullbacks of those gradients
       and of random lattice gradients;
+  bench/<family>/<result>  the same for one benchmark-sized batch (32
+      sentences of 10-50 tokens and the repeat, 1134 positions; L=17,
+      d_h=d_t=100, d_r=128) of each multilinear family, whose GEMMs reach
+      the BLAS kernels that a small batch does not;
   train/<family>/dev<0|1>/clip<c>  the `save_model` file of a seeded
       3-epoch `train`, without and with a dev set, gradient clipping off
       and at 0.5;
@@ -58,12 +62,15 @@ def digest(*arrays_or_text) -> str:
     return h.hexdigest()
 
 
-def batch_lines(family):
+MULTILINEAR = (Family.TRILINEAR, Family.D_TRILINEAR, Family.D_QUADRILINEAR, Family.D_PENTALINEAR)
+
+
+def batch_lines(family, d_h=12, d_t=6, d_r=5, lengths=(5, 1, 9, 3)):
     """L=17 and 128 hidden units: the MLP passes cut the batch in blocks."""
-    L, d_h = 17, 12
-    params = init_params(family, L, d_h, seed=11, d_t=6, d_r=5, mlp_hidden=128)
+    L = 17
+    params = init_params(family, L, d_h, seed=11, d_t=d_t, d_r=d_r, mlp_hidden=128)
     rng = make_rng(12)
-    seqs = [rng.standard_normal((m, d_h)) / np.sqrt(d_h) for m in (5, 1, 9, 3)]
+    seqs = [rng.standard_normal((m, d_h)) / np.sqrt(d_h) for m in lengths]
     seqs.insert(3, seqs[0])     # a repeated sentence shares its MLP word inputs
     reps = [RepresentationSequence.from_array(h) for h in seqs]
     golds = [[int(y) for y in rng.integers(0, L, size=len(h))] for h in seqs]
@@ -91,6 +98,10 @@ def all_lines(workdir):
     for family in Family:
         for name, value in batch_lines(family):
             yield "batch/%s/%s" % (family.value, name), value
+        if family in MULTILINEAR:
+            lengths = make_rng(13).integers(10, 51, size=32).tolist()
+            for name, value in batch_lines(family, d_h=100, d_t=100, d_r=128, lengths=lengths):
+                yield "bench/%s/%s" % (family.value, name), value
         for dev in (0, 1):
             for clip in (0.0, 0.5):
                 config = TrainConfig(family=family, d_t=6, d_r=5, mlp_hidden=128,
