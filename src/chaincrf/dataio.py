@@ -425,6 +425,39 @@ class _LineReader:
         return count
 
 
+def _read_param(rd, name, shape):
+    """The values of parameter `name` of `shape`, read from the lines after
+    its `param` line.  The rows `save_model` writes (one per vector along
+    the last axis, a vector as one row) are parsed by one `np.loadtxt`
+    call, which rounds as `float` does; any other layout, and a bad value,
+    go through the row-by-row loop, which names the line of a bad value."""
+    count = math.prod(shape)
+    n = count // shape[-1] if count else 0
+    rows = rd.lines[rd.pos: rd.pos + n]
+    # a first row with values keeps loadtxt from warning about empty input
+    if n and len(rows) == n and rows[0].split():
+        try:
+            block = np.loadtxt(rows, dtype=np.float64, comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            block = None
+        if block is not None and block.shape == (n, shape[-1]):
+            rd.pos += n
+            return block.reshape(shape)
+    values = []
+    while len(values) < count:
+        row = rd.next()
+        if row == "end" or row.startswith("param"):
+            break    # the block ended early; reported below
+        try:
+            values.extend(float(v) for v in row.split())
+        except ValueError:
+            raise ValueError("line %d: non-numeric value in parameter %s"
+                             % (rd.pos, name)) from None
+    if len(values) != count:
+        raise ValueError("parameter %s has %d values, want %d" % (name, len(values), count))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
 def load_model(source):
     """Read a model file written by `save_model`; returns (params, vocab)."""
     with open_text(source) as fh:
@@ -469,20 +502,7 @@ def load_model(source):
         if parts[2:] != [str(d) for d in shape]:
             raise ValueError("parameter %s has shape %s, want %r"
                              % (name, " ".join(parts[2:]), shape))
-        count = math.prod(shape)
-        values = []
-        while len(values) < count:
-            row = rd.next()
-            if row == "end" or row.startswith("param"):
-                break    # the block ended early; reported below
-            try:
-                values.extend(float(v) for v in row.split())
-            except ValueError:
-                raise ValueError("line %d: non-numeric value in parameter %s"
-                                 % (rd.pos, name)) from None
-        if len(values) != count:
-            raise ValueError("parameter %s has %d values, want %d" % (name, len(values), count))
-        arrays[name] = np.array(values, dtype=np.float64).reshape(shape)
+        arrays[name] = _read_param(rd, name, shape)
     params = ModelParams(family=family, num_labels=num_labels, d_h=d_h, d_t=d_t, d_r=d_r,
                          arrays=arrays)
     params.validate()   # also names a field the file left out

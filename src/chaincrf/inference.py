@@ -190,13 +190,15 @@ def decode_softmax(lat) -> DecodeResult:
 CHUNK_CELLS = 1 << 21
 
 
-def cell_blocks(lengths, num_labels) -> list:
+def cell_blocks(lengths, num_labels, budget=None) -> list:
     """(lo, hi) bounds of the blocks of a batch of sequences of `lengths`:
-    runs of whole sequences with at most CHUNK_CELLS lattice cells, cut
-    greedily in input order (a larger sequence is a block of its own)."""
+    runs of whole sequences with at most `budget` (default CHUNK_CELLS)
+    lattice cells, cut greedily in input order (a larger sequence is a
+    block of its own)."""
+    budget = CHUNK_CELLS if budget is None else budget
     blocks, lo, cells = [], 0, 0
     for i, m in enumerate(lengths):
-        if i > lo and cells + m * num_labels * num_labels > CHUNK_CELLS:
+        if i > lo and cells + m * num_labels * num_labels > budget:
             blocks.append((lo, i))
             lo, cells = i, 0
         cells += m * num_labels * num_labels

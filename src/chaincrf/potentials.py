@@ -43,11 +43,15 @@ distinct input.  The (rows, L, L, hidden) tanh activations are formed in
 blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole batch,
 and the pullback recomputes them block by block.  The blocks run on one
 thread per CPU where the platform can bind threads, and on one thread
-elsewhere (`_each_block`), with results byte-identical to one.
+elsewhere (`_each_block`), with results byte-identical to one; the
+caller's `np.errstate` holds in them, and they never nest.  The same
+threads score the parts of `training.predict_paths`' blocks
+(`block_scorer`).
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -393,7 +397,7 @@ def _mlp_blocks(rows, cells_per_row):
 
 def _cpus() -> list:
     """The CPUs this process may run on (`taskset` lowers them), one
-    concat-MLP thread each; one unbound entry where the platform can
+    `_each_block` thread each; one unbound entry where the platform can
     neither read nor set a thread's CPUs (macOS, Windows)."""
     if not (hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")):
         return [None]
@@ -401,18 +405,27 @@ def _cpus() -> list:
 
 
 def cpu_count() -> int:
-    """Number of the threads that run the concat-MLP blocks."""
+    """Number of the threads that run the concat-MLP blocks and the parts
+    of `training.predict_paths`."""
     return len(_cpus())
 
 
+# set in the threads `_each_block` starts, whose own calls run inline
+_IN_WORKER = contextvars.ContextVar("in_block_worker", default=False)
+
+
 def _each_block(blocks, buf_shape, run, merge=None):
-    """Call run(blk, buf) for every slice of `blocks`, on one thread per
+    """Call run(blk, buf) for every item of `blocks`, on one thread per
     CPU of `_cpus()` (capped at the block count; one block or one CPU runs
-    inline).  Each thread is bound to its own CPU of that set: on a
+    inline, and so does a call from one of these threads, so threads
+    never nest).  Each thread is bound to its own CPU of that set: on a
     2-vCPU VM the scheduler was seen keeping two unbound threads on one
     CPU for hundreds of milliseconds while the other idled.  A thread
     claims the next unclaimed block and owns one scratch buffer `buf` of
-    `buf_shape`, allocated by the caller.
+    `buf_shape`, allocated by the caller.  Each thread runs in a copy of
+    the caller's context, so the caller's `np.errstate` holds in it (numpy
+    keeps it in a context variable, and a new thread would start from the
+    default).
 
     Given `merge`, run returns a partial result and merge(partial) is
     called under the lock strictly in block order, by whichever thread
@@ -422,7 +435,7 @@ def _each_block(blocks, buf_shape, run, merge=None):
     raised in any block stops the claiming and is re-raised here once
     every thread has ended.
     """
-    cpus = _cpus()[: len(blocks)]
+    cpus = [None] if _IN_WORKER.get() else _cpus()[: len(blocks)]
     ahead = 2 * len(cpus)
     lock = threading.Condition()
     claimed = merged = 0
@@ -454,6 +467,7 @@ def _each_block(blocks, buf_shape, run, merge=None):
                 lock.notify_all()
 
     def bound(cpu, buf):
+        _IN_WORKER.set(True)
         try:
             os.sched_setaffinity(threading.get_native_id(), {cpu})
         except OSError:     # the CPU left the set since it was read: run unbound
@@ -463,7 +477,8 @@ def _each_block(blocks, buf_shape, run, merge=None):
     if len(cpus) == 1:
         work(np.empty(buf_shape))
     else:
-        threads = [threading.Thread(target=bound, args=(cpu, np.empty(buf_shape)))
+        threads = [threading.Thread(target=contextvars.copy_context().run,
+                                    args=(bound, cpu, np.empty(buf_shape)))
                    for cpu in cpus]
         for t in threads:
             t.start()
@@ -483,7 +498,11 @@ def _mlp_scores(Zw, Zl, w2, out):
 
     def run(blk, buf):
         u = buf[: blk.stop - blk.start]
-        np.add(Zw[blk, None, :], Zl[None], out=u)
+        # one broadcast operand, not two as in np.add(Zw[blk, None, :], Zl[None]):
+        # half the time, a fixed 64 KB ufunc buffer rather than up to a
+        # block, and the same sums (addition commutes)
+        u[...] = Zl
+        u += Zw[blk, None, :]
         np.tanh(u, out=u)
         np.matmul(u.reshape(-1, H), w2, out=out[blk].reshape(-1))
 
@@ -509,7 +528,8 @@ def _mlp_pullback(Zw, Zl, w2, grad):
     def run(blk, buf):
         u = buf[: blk.stop - blk.start]
         g = grad[blk]
-        np.add(Zw[blk, None, :], Zl[None], out=u)
+        u[...] = Zl
+        u += Zw[blk, None, :]
         np.tanh(u, out=u)
         part_w2 = g.reshape(-1) @ u.reshape(-1, H)
         np.square(u, out=u)
@@ -560,15 +580,47 @@ def score_lattices(params: ModelParams, reps_list) -> LatticeBatch:
     representation is not finite.
     """
     check_inputs(params, reps_list)
+    return _score_in_blocks(params, _precompute(params), reps_list)
+
+
+def block_scorer(params):
+    """score(reps_list) -> LatticeBatch for one block of `cell_blocks`, as
+    `training.predict_paths` scores them (inputs already checked).
+
+    The calling thread makes the precompute, once, and each block's one
+    buffer; the block's parts, runs of whole sequences with at most
+    `MLP_BLOCK_CELLS` lattice cells that stay in cache, are scored into
+    their rows on `_each_block`'s threads.  The cut depends on the lengths
+    and L alone, so the lattices are the same on any CPU count, but a
+    part's GEMMs may round otherwise than a block's: they can differ from
+    `score_lattices`' in the last bits.  The concat-MLP families score the
+    whole block as `score_lattices` does: their tanh blocks already use
+    every CPU (per-part distinct word inputs would repeat those that parts
+    share).
+    """
+    pre = _precompute(params)
+    parts = params.family not in MLP_FAMILIES
+    return lambda reps_list: _score_in_blocks(params, pre, reps_list, parts)
+
+
+def _score_in_blocks(params, pre, reps_list, parts=False):
+    """A `LatticeBatch` over one buffer, written block by block: the blocks
+    of `cell_blocks` in order on this thread, or given `parts`, blocks of
+    at most `MLP_BLOCK_CELLS` cells on `_each_block`'s threads."""
     L = params.num_labels
     lengths = [reps.length for reps in reps_list]
     batch = LatticeBatch(np.empty((sum(lengths), L, L)), lengths)
-    if not reps_list:
-        return batch
-    pre = _precompute(params)
     bounds = [*batch.starts, len(batch.flat)]    # first row of each sequence, then the end
-    for lo, hi in cell_blocks(lengths, L):
+
+    def run(block, _):
+        lo, hi = block
         _score_block(params, pre, reps_list[lo:hi], batch.flat[bounds[lo]: bounds[hi]])
+
+    if parts:
+        _each_block(cell_blocks(lengths, L, MLP_BLOCK_CELLS), (0,), run)    # no scratch
+    else:
+        for block in cell_blocks(lengths, L):
+            run(block, None)
     return batch
 
 

@@ -34,7 +34,14 @@ from .inference import (  # noqa: F401
     viterbi_batch,
 )
 from .linalg import make_rng
-from .potentials import Family, backprop_lattices, check_inputs, init_params, score_lattices
+from .potentials import (
+    Family,
+    backprop_lattices,
+    block_scorer,
+    check_inputs,
+    init_params,
+    score_lattices,
+)
 
 METRIC_AUTO = "auto"
 METRIC_SPAN_F1 = "span_f1"
@@ -182,12 +189,15 @@ def decode_paths(params, lattices):
 def predict_paths(params, reps_list):
     """`decode_paths(params, score_lattices(params, reps_list))`, scored and
     decoded one block of `cell_blocks` at a time: one block's lattices exist
-    at once."""
+    at once.  Each block is scored in cache-sized parts on every CPU
+    (`potentials.block_scorer`), so its lattices can differ from
+    `score_lattices`' in the last bits."""
     check_inputs(params, reps_list)    # names a bad sequence by its index here
+    score = block_scorer(params)
     paths = []
     for lo, hi in cell_blocks([reps.length for reps in reps_list], params.num_labels):
         try:
-            paths += decode_paths(params, score_lattices(params, reps_list[lo:hi]))
+            paths += decode_paths(params, score(reps_list[lo:hi]))
         except ValueError as exc:   # decoding names a sequence by its index in the block
             raise ValueError("in sequences %d-%d: %s" % (lo, hi - 1, exc)) from None
     return paths

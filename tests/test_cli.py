@@ -22,7 +22,7 @@ from chaincrf import (
     write_conll,
     write_embeddings,
 )
-from chaincrf import cli, inference, training
+from chaincrf import cli, inference, potentials, training
 from chaincrf.cli import (
     ConfigError,
     dump_config,
@@ -258,13 +258,21 @@ def test_tag_in_blocks_matches_whole_list_decode(tmp_path, capsys):
             for path in decode_paths(params, score_lattices(params, reps))]
     out = tmp_path / "tagged.conll"
     L = params.num_labels
+    lengths = [r.length for r in reps]
+    # one CPU, so the part count is read from one thread's calls
     with mock.patch.object(inference, "CHUNK_CELLS", 6 * L * L), \
-            mock.patch.object(training, "score_lattices", wraps=score_lattices) as scored:
-        blocks = inference.cell_blocks([r.length for r in reps], L)
-        assert len(blocks) >= 3
+            mock.patch.object(potentials, "MLP_BLOCK_CELLS", 2 * L * L), \
+            mock.patch.object(potentials.os, "sched_getaffinity", lambda pid: {0}), \
+            mock.patch.object(training, "decode_paths", wraps=decode_paths) as decoded, \
+            mock.patch.object(potentials, "_score_block", wraps=potentials._score_block) as scored:
+        blocks = inference.cell_blocks(lengths, L)
+        parts = [inference.cell_blocks(lengths[lo:hi], L, potentials.MLP_BLOCK_CELLS)
+                 for lo, hi in blocks]
+        assert len(blocks) >= 3 and sum(map(len, parts)) > len(blocks)
         assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(paths["emb"]),
                      "--input", str(paths["test"]), "--output", str(out)]) == 0
-        assert scored.call_count == len(blocks)
+        assert decoded.call_count == len(blocks)
+        assert scored.call_count == sum(map(len, parts))
         empty, empty_out = tmp_path / "empty.conll", tmp_path / "empty_tagged.conll"
         empty.write_text("")
         assert main(["tag", "--model", cfg["model_path"], "--embeddings", str(paths["emb"]),

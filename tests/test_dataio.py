@@ -679,6 +679,32 @@ def test_model_duplicate_param_block_rejected():
         load_model(io.StringIO(text))
 
 
+def test_model_bad_value_in_middle_row_names_its_line():
+    # w_h is 4 rows of 3: a bad value in its third row fails the block's
+    # one loadtxt call, and the row-by-row loop names the line
+    lines = _model_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if l.startswith("param w_h")) + 3
+    cells = lines[k].split()
+    cells[1] = "1.0.0"
+    lines[k] = " ".join(cells)
+    with pytest.raises(ValueError, match=r"^line %d: non-numeric value in parameter w_h$"
+                                         % (k + 1)):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_model_values_in_another_row_layout_load_bit_exact():
+    # the row-by-row loop also reads a block laid out other than save_model
+    # writes it: here every value of transition_table on a line of its own
+    params = init_params(Family.VANILLA_CRF, 3, 4, seed=5)
+    lines = _model_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if l.startswith("param transition_table"))
+    rows = lines[k + 1: k + 5]
+    text = "\n".join(lines[: k + 1] + " ".join(rows).split() + lines[k + 5:]) + "\n"
+    loaded, _ = load_model(io.StringIO(text))
+    for (name, arr), (_, back) in zip(params.param_items(), loaded.param_items()):
+        assert arr.tobytes() == back.tobytes(), name
+
+
 def test_model_unknown_scheme_rejected():
     text = _model_text().replace("scheme PLAIN", "scheme BOGUS")
     with pytest.raises(ValueError, match="unknown scheme in model file: BOGUS"):

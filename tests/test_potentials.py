@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -871,3 +872,74 @@ def test_mlp_block_exception_reaches_caller(pass_name):
     assert not caller.is_alive()
     assert [str(e) for e in caught] == ["boom in block 4"]
     assert threading.active_count() == start
+
+
+# ---------------------------------------------------------------------------
+# predict_paths: each block scored in parts on one thread per CPU
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_predict_paths_in_parts_match_on_one_and_two_cpus(family):
+    # a budget of 12 positions cuts the ragged batch into blocks and a budget
+    # of 4 cuts each block into parts; 1-token sentences run alone and at
+    # the edges of parts
+    p = small_params(family, seed=21)
+    L = SMALL["num_labels"]
+    lengths = (1, 4, 1, 7, 2, 1, 5, 3, 1, 6, 2, 1)
+    reps_list = [random_reps(m, SMALL["d_h"], seed=100 + k) for k, m in enumerate(lengths)]
+    want = decode_paths(p, score_lattices(p, reps_list))
+    paths, lattices = {}, {}
+    with mock.patch.object(inference, "CHUNK_CELLS", 12 * L * L), \
+            mock.patch.object(potentials, "MLP_BLOCK_CELLS", 4 * L * L):
+        blocks = inference.cell_blocks(lengths, L)
+        assert len(blocks) >= 3
+        assert max(len(inference.cell_blocks(lengths[lo:hi], L, 4 * L * L))
+                   for lo, hi in blocks) >= 3
+        for n in (1, 2):
+            with _with_cpus(n):
+                paths[n] = predict_paths(p, reps_list)
+                lattices[n] = potentials.block_scorer(p)(reps_list).flat.tobytes()
+    assert paths[2] == paths[1] == want
+    assert lattices[2] == lattices[1]
+
+
+def _overflowing_mlp_2w2l():
+    # Zl is near the largest float and Zw near 1e306, so Zw + Zl overflows
+    # in the tanh blocks alone; tanh(inf) is still finite
+    p = init_params(Family.CONCAT_MLP_2W2L, 17, 6, seed=4, d_t=3, mlp_hidden=128)
+    p.arrays["mlp_w1"][:, :12] *= 1e306
+    p.arrays["mlp_b1"][:] = 1.79e308
+    return p, [random_reps(m, 6, seed=60 + m) for m in (9, 1, 14, 5, 20)]
+
+
+def test_block_threads_keep_the_callers_errstate():
+    p, reps_list = _overflowing_mlp_2w2l()
+    with _with_cpus(2), mock.patch.object(potentials, "MLP_BLOCK_CELLS", 1), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            with np.errstate(all="raise"):
+                score_lattices(p, reps_list)
+        with np.errstate(all="ignore"):
+            lats = score_lattices(p, reps_list)
+            paths = predict_paths(p, reps_list)
+    assert np.isfinite(lats.flat).all()
+    assert len(paths) == len(reps_list)
+
+
+def test_nested_each_block_runs_inline():
+    outer, inner, bound = {}, {}, []
+
+    def run_outer(blk, buf):
+        outer[blk] = threading.get_ident()
+        potentials._each_block([(blk, k) for k in range(4)], (0,), run_inner)
+
+    def run_inner(blk, buf):
+        inner[blk] = threading.get_ident()
+
+    with _with_cpus(2), mock.patch.object(potentials.os, "sched_setaffinity",
+                                          lambda tid, cpus: bound.append(tid)):
+        potentials._each_block(list(range(6)), (0,), run_outer)
+    assert len(bound) == 2
+    assert len(inner) == 24
+    assert all(inner[blk] == outer[blk[0]] for blk in inner)

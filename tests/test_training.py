@@ -360,9 +360,10 @@ def _traced_peak(fn):
 def test_predict_paths_memory_stays_within_two_blocks(family):
     # 10 blocks of 1000 positions.  Decoding a block reads its lattices in
     # place and holds back pointers of 1/L of a block, so the peak is about
-    # 1.2 blocks (2.33-2.34 for concat-MLP, whose scoring holds a block of
-    # distinct-row scores next to the lattices, plus an activation buffer
-    # and an add temporary of 0.056 blocks each per thread: 2.21-2.23 on one
+    # 1.2 blocks, with the block scored in parts on two threads (2.27-2.29
+    # for concat-MLP, whose scoring holds a block of distinct-row scores
+    # next to the lattices, plus per thread an activation buffer of 0.056
+    # blocks and numpy's 64 KB add buffer of 0.028: 2.19-2.20 on one
     # thread, so two are pinned here); whole-batch scoring holds all ten.
     L, d_h = 17, 4
     p = init_params(family, L, d_h, seed=2, d_t=4, d_r=3, mlp_hidden=4)

@@ -7,9 +7,12 @@ parent.  Run it on both trees with BLAS on one thread and compare:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<parent>/src python tools/digests.py > before.txt
     diff before.txt after.txt
 
-Prefix both runs with `taskset -c 0` to pin the concat-MLP blocks to one
-thread.  The digests depend on the numpy and BLAS build, so they are not
-a test: only two runs on one machine compare.
+Prefix both runs with `taskset -c 0` to run the threaded passes (the
+concat-MLP blocks and the parts of `tag`) on one thread.  The digests
+depend on the numpy and BLAS build, so they are not a test: only two runs
+on one machine compare.  Runs of one tree with and without `taskset -c 0`
+print the same lines too, which checks that the threads do not change a
+result.
 
 Lines:
   batch/<family>/<result>  scores, NLL losses and gradients of one ragged
@@ -23,7 +26,10 @@ Lines:
       3-epoch `train`, without and with a dev set, gradient clipping off
       and at 0.5;
   tag/<family>  `chaincrf tag` output of the no-dev-set, unclipped model
-      on a generated input.
+      on a generated input;
+  tag/<family>/parts  the same on an input of 2500 random sentences of 1-8
+      tokens, which `tag` scores in at least 3 parts (2^18 lattice cells
+      each) on its threads.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from chaincrf import (
     Family,
     RepresentationSequence,
     SyntheticSpec,
+    TokenSequence,
     TrainConfig,
     backprop_lattices,
     build_label_vocab,
@@ -51,8 +58,9 @@ from chaincrf import (
     write_conll,
     write_embeddings,
 )
+from chaincrf import potentials
 from chaincrf.cli import main
-from chaincrf.inference import nll_and_grad_stacked
+from chaincrf.inference import cell_blocks, nll_and_grad_stacked
 
 
 def digest(*arrays_or_text) -> str:
@@ -94,6 +102,14 @@ def all_lines(workdir):
     in_path = os.path.join(workdir, "in.txt")
     write_embeddings(table, emb_path)
     write_conll(test_set, in_path)
+    rng = make_rng(14)
+    words = list(table.vectors)
+    many = [TokenSequence(tokens=[words[k] for k in rng.integers(0, len(words), size=m)])
+            for m in rng.integers(1, 9, size=2500)]
+    if len(cell_blocks([len(s) for s in many], spec.num_labels, potentials.MLP_BLOCK_CELLS)) < 3:
+        raise SystemExit("the many-sentence input scores in fewer than 3 parts")
+    many_path = os.path.join(workdir, "many.txt")
+    write_conll(many, many_path)
     vocab = build_label_vocab(train_set)
     for family in Family:
         for name, value in batch_lines(family):
@@ -115,11 +131,13 @@ def all_lines(workdir):
                     out_path = os.path.join(workdir, "out.txt")
                     with open(model_path, "w", encoding="utf-8") as fh:
                         fh.write(buf.getvalue())
-                    if main(["tag", "--model", model_path, "--embeddings", emb_path,
-                             "--input", in_path, "--output", out_path]) != 0:
-                        raise SystemExit("tag failed for %s" % family.value)
-                    with open(out_path, "rb") as fh:
-                        yield "tag/%s" % family.value, hashlib.sha256(fh.read()).hexdigest()
+                    for suffix, path in (("", in_path), ("/parts", many_path)):
+                        if main(["tag", "--model", model_path, "--embeddings", emb_path,
+                                 "--input", path, "--output", out_path]) != 0:
+                            raise SystemExit("tag failed for %s" % family.value)
+                        with open(out_path, "rb") as fh:
+                            yield ("tag/%s%s" % (family.value, suffix),
+                                   hashlib.sha256(fh.read()).hexdigest())
 
 
 if __name__ == "__main__":
