@@ -10,8 +10,6 @@ anything else, such as invalid input data.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import glob
 import json
 import os
 import re
@@ -34,7 +32,7 @@ from .dataio import (
 )
 from .evaluation import span_f1, summary_line
 from .inference import log_partition, nll_and_grad, pairwise_marginals, viterbi
-from .linalg import make_rng
+from .linalg import blas_threads, make_rng
 from .oracle import (
     brute_force_best_path,
     brute_force_log_partition,
@@ -323,20 +321,6 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
         "decode_seconds_per_sequence": sum(decode_times) / (reps * batch),
         "train_step_peak_mb": step_peak / 1e6,
     }
-
-
-def blas_threads():
-    """Thread count of the OpenBLAS bundled with numpy, or None when the
-    loaded BLAS cannot be asked."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return int(fn())
-    return None
 
 
 def bench_environment():

@@ -7,6 +7,7 @@ separated by blank lines and -DOCSTART- lines are skipped.
 
 from __future__ import annotations
 
+import base64
 import math
 import re
 import warnings
@@ -363,12 +364,13 @@ def sequence_to_reps(seq: TokenSequence, table: EmbeddingTable) -> Representatio
 # ---------------------------------------------------------------------------
 
 FORMAT_MAGIC = "chaincrf-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_model(params: ModelParams, vocab: LabelVocab, target):
-    """Versioned plain-text model file; floats use repr so that
-    load(save(x)) reproduces x bit-exactly."""
+    """Versioned model file: a plain-text header, then each parameter block
+    as one line of base64 of its values as C-order little-endian float64,
+    so that load(save(x)) reproduces x bit-exactly."""
     params.validate()
     if vocab.size != params.num_labels:
         raise ValueError("vocabulary has %d labels but the model has %d"
@@ -389,9 +391,7 @@ def save_model(params: ModelParams, vocab: LabelVocab, target):
             fh.write("%s\n" % lab)
         for name, arr in params.param_items():
             fh.write("param %s %s\n" % (name, " ".join(str(d) for d in arr.shape)))
-            flat = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)
-            for row in flat:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii") + "\n")
         fh.write("end\n")
 
 
@@ -402,7 +402,7 @@ class _LineReader:
 
     def next(self):
         if self.pos >= len(self.lines):
-            raise ValueError("truncated model file")
+            raise ValueError("truncated model file after line %d" % self.pos)
         line = self.lines[self.pos]
         self.pos += 1
         return line
@@ -426,36 +426,20 @@ class _LineReader:
 
 
 def _read_param(rd, name, shape):
-    """The values of parameter `name` of `shape`, read from the lines after
-    its `param` line.  The rows `save_model` writes (one per vector along
-    the last axis, a vector as one row) are parsed by one `np.loadtxt`
-    call, which rounds as `float` does; any other layout, and a bad value,
-    go through the row-by-row loop, which names the line of a bad value."""
-    count = math.prod(shape)
-    n = count // shape[-1] if count else 0
-    rows = rd.lines[rd.pos: rd.pos + n]
-    # a first row with values keeps loadtxt from warning about empty input
-    if n and len(rows) == n and rows[0].split():
-        try:
-            block = np.loadtxt(rows, dtype=np.float64, comments=None, quotechar=None, ndmin=2)
-        except ValueError:
-            block = None
-        if block is not None and block.shape == (n, shape[-1]):
-            rd.pos += n
-            return block.reshape(shape)
-    values = []
-    while len(values) < count:
-        row = rd.next()
-        if row == "end" or row.startswith("param"):
-            break    # the block ended early; reported below
-        try:
-            values.extend(float(v) for v in row.split())
-        except ValueError:
-            raise ValueError("line %d: non-numeric value in parameter %s"
-                             % (rd.pos, name)) from None
-    if len(values) != count:
-        raise ValueError("parameter %s has %d values, want %d" % (name, len(values), count))
-    return np.array(values, dtype=np.float64).reshape(shape)
+    """The values of parameter `name` of `shape`, decoded from the one
+    base64 line after its `param` line."""
+    line = rd.next()
+    # a bad last line is most likely a file cut short in it
+    where = "%sline %d: parameter %s" % (
+        "truncated model file: " if rd.pos == len(rd.lines) else "", rd.pos, name)
+    try:
+        raw = base64.b64decode(line, validate=True)
+    except ValueError:   # binascii.Error, or a character beyond ASCII
+        raise ValueError("%s is not base64" % where) from None
+    want = 8 * math.prod(shape)
+    if len(raw) != want:
+        raise ValueError("%s has %d bytes, want %d" % (where, len(raw), want))
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def load_model(source):
@@ -466,7 +450,8 @@ def load_model(source):
     if len(head) != 2 or head[0] != FORMAT_MAGIC:
         raise ValueError("not a model file")
     if head[1] != str(FORMAT_VERSION):
-        raise ValueError("unsupported model format version %s" % head[1])
+        raise ValueError("unsupported model format version %s: this reader reads version %d"
+                         % (head[1], FORMAT_VERSION))
     family = Family.from_name(rd.expect_kv("family"))
     num_labels = rd.expect_count("num_labels", least=1)
     d_h = rd.expect_count("d_h", least=1)

@@ -61,7 +61,7 @@ from functools import reduce
 import numpy as np
 
 from .inference import LatticeBatch, cell_blocks
-from .linalg import glorot, make_rng
+from .linalg import glorot, make_rng, one_blas_thread
 
 
 class Family(str, Enum):
@@ -425,7 +425,9 @@ def _each_block(blocks, buf_shape, run, merge=None):
     `buf_shape`, allocated by the caller.  Each thread runs in a copy of
     the caller's context, so the caller's `np.errstate` holds in it (numpy
     keeps it in a context variable, and a new thread would start from the
-    default).
+    default).  While the threads run, OpenBLAS runs on one thread
+    (`linalg.one_blas_thread`): unpinned, its own threads would share the
+    CPUs that these threads are bound to.
 
     Given `merge`, run returns a partial result and merge(partial) is
     called under the lock strictly in block order, by whichever thread
@@ -480,10 +482,11 @@ def _each_block(blocks, buf_shape, run, merge=None):
         threads = [threading.Thread(target=contextvars.copy_context().run,
                                     args=(bound, cpu, np.empty(buf_shape)))
                    for cpu in cpus]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with one_blas_thread():
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
     if error is not None:
         raise error
 

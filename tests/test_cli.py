@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import re
@@ -398,7 +399,8 @@ def test_tag_inconsistent_model_exit_1(tmp_path, capsys):
 def _repeat_u_h_block_of_nines(lines):
     k = next(i for i, l in enumerate(lines) if l.startswith("param u_h "))
     rows, cols = (int(d) for d in lines[k].split()[2:])
-    return lines[:-1] + [lines[k]] + [" ".join(["9.0"] * cols)] * rows + lines[-1:]
+    nines = base64.b64encode(np.full(rows * cols, 9.0, dtype="<f8").tobytes()).decode()
+    return lines[:-1] + [lines[k], nines] + lines[-1:]
 
 
 @pytest.mark.parametrize("edit, message", [

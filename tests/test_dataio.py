@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import io
 import os
@@ -549,18 +550,19 @@ def test_model_round_trip_bit_exact(family):
 
 # sha256 of the model file of init_params(family, 5, 10, seed=7, d_t=6, d_r=4,
 # mlp_hidden=8) with labels L0..L4: pins the seeded draw order, the field
-# order and the file layout of every family.
+# order and the file layout (format 2: one base64 line per block) of every
+# family.
 SEEDED_MODEL_SHA256 = {
-    "softmax": "7af60f388b652890a2af41492b2edad2879ac14d913341ac6e268094a36fc5c0",
-    "vanilla-crf": "b368b8f7deee70f607b5949a4cd9ee31736b535bf189363083499f0c6cd1e10f",
-    "two-bilinear": "194941a7a346711c8c17cc7a5d04e36eacd0711ce6bdb1887fbd4ae037f035fc",
-    "three-bilinear": "c634765b05afaa1644d62e8f3cbc875b7aacdbd95a9f50588174aba0d49dd8f5",
-    "trilinear": "fa18b8528bf3df027680810c4d1c0a05701dc700d4d08bac2ffafe9d98773141",
-    "d-trilinear": "71c641c30665fd906bd101ddc8e04411f069ba396844952bcefc0a11ebb1042f",
-    "d-quadrilinear": "97b3363691688f113f07f6cfac738b0c830685143a0e85e2c8a68d4d1da69550",
-    "d-pentalinear": "3c85978086f3e5a6a9870b7af5f39202dd83d7b698279b110cdf69f844516061",
-    "concat-mlp-1w2l": "43f7cde07f44c0de56a22d191d52616ea5242ba6c7bce922b40f145ef6b47c61",
-    "concat-mlp-2w2l": "d2cb57881157478bd22833c3984cc0e14d37710aad87ee09e4fb7452bd93fdae",
+    "softmax": "6638ec2ab3495b30d1373e60484e807986912a0ff868b92359576b4577e9b4b0",
+    "vanilla-crf": "7651c6c5ae072904bc211e68170f3d132d875903e887439ff0d3c5bbefbf91e4",
+    "two-bilinear": "7efc1a8a522f89973854f4ab0dff1d6fdab365c65403f0458082fb87e7e9bfbd",
+    "three-bilinear": "5e6bec0e909602b6d7e634ec8da79ea4f6d2bf9a3fb921ac5fe474b6d95597ba",
+    "trilinear": "f565e81c72dfc92d0ff5c6f7add2115ebbe9296f0f613e98e7169e0596bd225f",
+    "d-trilinear": "5cbccc3ada3a7f9c468f36522c87dba7bda0774916bc855e7d652732b3b86c41",
+    "d-quadrilinear": "aba07fde0521429b00179403232ad0e3a9acf71b0b132de5d9b47eda819cd279",
+    "d-pentalinear": "a140aaf5d0c221c89db35b280dcf41b7090bf5c294c570caee860bc1d9164016",
+    "concat-mlp-1w2l": "ecdc555bbb73dc09172351c4c6cbb204cc20919fd897e01429c1b6df37d2f5c1",
+    "concat-mlp-2w2l": "b54fc5800b7dd4a8285e1dbdab8bd9339344c42581cd34f259647de92bca13d9",
 }
 
 
@@ -616,9 +618,22 @@ def test_model_version_mismatch_rejected():
     params = init_params(Family.VANILLA_CRF, 3, 4, seed=5)
     buf = io.StringIO()
     save_model(params, _vocab(3), buf)
-    text = buf.getvalue().replace("chaincrf-model 1", "chaincrf-model 2")
-    with pytest.raises(ValueError, match="version"):
+    text = buf.getvalue().replace("chaincrf-model 2", "chaincrf-model 3")
+    with pytest.raises(ValueError, match="version 3: this reader reads version 2"):
         load_model(io.StringIO(text))
+
+
+def test_model_version_1_file_rejected():
+    # format 1 wrote each block as rows of decimal floats; it is not read
+    params = init_params(Family.VANILLA_CRF, 3, 4, seed=5)
+    lines = _model_text().replace("chaincrf-model 2", "chaincrf-model 1").splitlines()
+    for k in [i for i, l in enumerate(lines) if l.startswith("param")][::-1]:
+        arr = params.arrays[lines[k].split()[1]]
+        lines[k + 1: k + 2] = [" ".join(repr(float(v)) for v in row)
+                               for row in arr.reshape(-1, arr.shape[-1])]
+    with pytest.raises(ValueError, match=r"^unsupported model format version 1: "
+                                         r"this reader reads version 2$"):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_model_missing_field_named():
@@ -672,37 +687,52 @@ def test_model_duplicate_param_block_rejected():
     # a second w_h block used to replace the first silently
     lines = _model_text().splitlines()
     k = next(i for i, l in enumerate(lines) if l.startswith("param w_h"))
-    block = ["param w_h 4 3"] + [" ".join(["9.0"] * 3)] * 4
+    block = ["param w_h 4 3", _b64(np.full(12, 9.0))]
     text = "\n".join(lines[:-1] + block + lines[-1:]) + "\n"
     assert lines[k] == block[0]
     with pytest.raises(ValueError, match="duplicate parameter in model file: w_h"):
         load_model(io.StringIO(text))
 
 
-def test_model_bad_value_in_middle_row_names_its_line():
-    # w_h is 4 rows of 3: a bad value in its third row fails the block's
-    # one loadtxt call, and the row-by-row loop names the line
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: line[:5] + "*" + line[6:], "is not base64"),
+    (lambda line: line[:5] + "\u00e9" + line[6:], "is not base64"),
+    (lambda line: line[:-3], "is not base64"),
+    (lambda line: " ".join(["0.5"] * 3), "is not base64"),
+    (lambda line: line[:-4], "has 93 bytes, want 96"),
+    (lambda line: _b64(np.zeros(11)), "has 88 bytes, want 96"),
+    (lambda line: _b64(np.zeros(13)), "has 104 bytes, want 96"),
+    (lambda line: "", "has 0 bytes, want 96"),
+    (None, "is not base64"),
+], ids=["non-alphabet", "non-ascii", "bad-padding", "decimal-row", "cut-short", "fewer-values",
+        "more-values", "empty-line", "missing-line"])
+def test_model_bad_data_line_names_parameter_and_line(edit, message):
+    # transition_table (4 x 3) is followed by one line: base64 of its 96 bytes
     lines = _model_text().splitlines()
-    k = next(i for i, l in enumerate(lines) if l.startswith("param w_h")) + 3
-    cells = lines[k].split()
-    cells[1] = "1.0.0"
-    lines[k] = " ".join(cells)
-    with pytest.raises(ValueError, match=r"^line %d: non-numeric value in parameter w_h$"
-                                         % (k + 1)):
+    k = next(i for i, l in enumerate(lines) if l.startswith("param transition_table")) + 1
+    if edit is None:
+        del lines[k]     # the w_h line is read as its data
+    else:
+        lines[k] = edit(lines[k])
+    message = "^line %d: parameter transition_table %s$" % (k + 1, message)
+    with pytest.raises(ValueError, match=message) as info:
         load_model(io.StringIO("\n".join(lines) + "\n"))
+    assert type(info.value) is ValueError
 
 
-def test_model_values_in_another_row_layout_load_bit_exact():
-    # the row-by-row loop also reads a block laid out other than save_model
-    # writes it: here every value of transition_table on a line of its own
-    params = init_params(Family.VANILLA_CRF, 3, 4, seed=5)
-    lines = _model_text().splitlines()
-    k = next(i for i, l in enumerate(lines) if l.startswith("param transition_table"))
-    rows = lines[k + 1: k + 5]
-    text = "\n".join(lines[: k + 1] + " ".join(rows).split() + lines[k + 5:]) + "\n"
-    loaded, _ = load_model(io.StringIO(text))
-    for (name, arr), (_, back) in zip(params.param_items(), loaded.param_items()):
-        assert arr.tobytes() == back.tobytes(), name
+@pytest.mark.parametrize("cut, message", [
+    (lambda text: text[: text.index("\n", text.index("param w_h")) + 1],
+     r"truncated model file after line 15"),
+    (lambda text: text[: text.rindex("\nend") - 5],
+     r"truncated model file: line 16: parameter w_h is not base64"),
+], ids=["after-param-line", "in-last-data-line"])
+def test_model_file_cut_short_names_where(cut, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        load_model(io.StringIO(cut(_model_text())))
 
 
 def test_model_unknown_scheme_rejected():
@@ -727,40 +757,53 @@ def _load_model_error(text):
 @settings(max_examples=150, deadline=None)
 @given(family=st.sampled_from(list(Family)), data=st.data())
 def test_malformed_model_file_raises_value_error(family, data):
-    """Truncated blocks, wrong value counts, non-numeric values and bad
-    header lines all raise a plain ValueError (never an IndexError, a
-    numpy error or a decode error)."""
+    """Truncated files, data lines that are missing, cut short, hold the
+    wrong byte count or a character outside base64, and bad header lines
+    all raise a plain ValueError (never an IndexError, a numpy error, a
+    binascii error or a decode error); a bad data line is named."""
     params = init_params(family, 3, 4, seed=5, d_t=3, d_r=2, mlp_hidden=4)
     buf = io.StringIO()
     save_model(params, _vocab(3), buf)
     lines = buf.getvalue().splitlines()
     first_param = next(i for i, l in enumerate(lines) if l.startswith("param"))
     values = [i for i in range(first_param, len(lines) - 1) if not lines[i].startswith("param")]
-    fault = data.draw(st.sampled_from(["truncate", "drop", "extra", "non-numeric", "header"]))
+    fault = data.draw(st.sampled_from(["truncate", "missing", "cut", "bytes", "non-alphabet",
+                                       "header"]))
     if fault == "truncate":
         # cut anywhere before the closing "end" line, mid-line included
         text = "\n".join(lines)
         text = text[: data.draw(st.integers(0, len(text) - len("end") - 1))]
     else:
         k = data.draw(st.sampled_from(values))
-        cells = lines[k].split()
-        if fault == "drop":
-            cells.pop(data.draw(st.integers(0, len(cells) - 1)))
-        elif fault == "extra":
-            cells.append("0.5")
-        elif fault == "non-numeric":
-            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
-                st.sampled_from(["x", "1.0.0", "--1", "1e", "0x1p3", "1,5", ""]))
+        line = lines[k]
+        if fault == "missing":
+            line = None
+        elif fault == "cut":
+            start = data.draw(st.integers(0, len(line) - 1))
+            line = line[:start] + line[data.draw(st.integers(start + 1, len(line))):]
+        elif fault == "bytes":
+            want = len(base64.b64decode(line))
+            n = data.draw(st.integers(0, 2 * want).filter(lambda n: n != want))
+            line = base64.b64encode(bytes(n)).decode("ascii")
+        elif fault == "non-alphabet":
+            at = data.draw(st.integers(0, len(line) - 1))
+            line = line[:at] + data.draw(st.sampled_from(["*", " ", "\u00e9", "-", "_", ".",
+                                                          "\t", "0.5"])) + line[at + 1:]
         else:
             k = data.draw(st.integers(0, 7))
             key = lines[k].split()[0]
             cells = [key, data.draw(st.sampled_from(["x", "-1", "1.5", "", "2 3"]))]
             if k == 0:
                 cells = data.draw(st.sampled_from([["chaincrf"], ["chaincrf-model", "x"],
-                                                   ["chaincrf-model", "1", "2"], ["model", "1"]]))
-        lines[k] = " ".join(cells)
+                                                   ["chaincrf-model", "2", "2"], ["model", "2"],
+                                                   ["chaincrf-model", "1"]]))
+            line = " ".join(cells)
+        lines[k: k + 1] = [] if line is None else [line]
         text = "\n".join(lines) + "\n"
-    assert type(_load_model_error(text)) is ValueError
+    error = _load_model_error(text)
+    assert type(error) is ValueError
+    if fault in ("cut", "bytes", "non-alphabet"):
+        assert str(error).startswith("line %d: parameter " % (k + 1)), error
 
 
 # ---------------------------------------------------------------------------

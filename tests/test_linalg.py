@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from chaincrf import linalg
+
 from chaincrf import log_sum_exp, make_rng
-from chaincrf.linalg import glorot, log_sum_exp_over_rows
+from chaincrf.linalg import glorot, log_sum_exp_over_rows, one_blas_thread
 
 
 def test_log_sum_exp_equal_values():
@@ -70,3 +72,27 @@ def test_glorot_one_by_one_bound():
 
 def test_glorot_different_seeds_differ():
     assert glorot(make_rng(1), 4, 4).tobytes() != glorot(make_rng(2), 4, 4).tobytes()
+
+
+@pytest.mark.parametrize("count, calls", [(1, []), (3, [1, 3])])
+def test_one_blas_thread_sets_only_a_count_above_one(monkeypatch, count, calls):
+    # a process pinned to one BLAS thread only reads the count
+    made = []
+    monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: count, made.append))
+    with one_blas_thread():
+        assert made == calls[:1]
+    assert made == calls
+
+
+def test_one_blas_thread_restores_the_count_when_the_body_raises(monkeypatch):
+    made = []
+    monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: 4, made.append))
+    with pytest.raises(KeyError), one_blas_thread():
+        raise KeyError
+    assert made == [1, 4]
+
+
+def test_one_blas_thread_does_nothing_without_openblas(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    with one_blas_thread():
+        assert linalg.blas_threads() is None

@@ -22,8 +22,9 @@ from chaincrf import (
     score_lattice,
     score_lattices,
 )
-from chaincrf import inference, potentials
+from chaincrf import inference, linalg, potentials
 from chaincrf.cli import max_relative_error
+from chaincrf.linalg import blas_threads
 from chaincrf.potentials import EMBEDDING_FAMILIES, FAMILY_FIELDS, MLP_FAMILIES
 from chaincrf.training import decode_paths, predict_paths
 
@@ -943,3 +944,30 @@ def test_nested_each_block_runs_inline():
     assert len(bound) == 2
     assert len(inner) == 24
     assert all(inner[blk] == outer[blk[0]] for blk in inner)
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS cannot be found")
+def test_block_threads_run_blas_on_one_thread_and_restore_its_count():
+    # unpinned, each bound thread would also start OpenBLAS threads
+    before, set_threads = blas_threads(), linalg._openblas()[1]
+    seen = []
+
+    def run(blk, buf):
+        seen.append(blas_threads())
+        if blk == "raise":
+            raise KeyError(blk)
+
+    set_threads(2)
+    try:
+        if blas_threads() != 2:
+            pytest.skip("OpenBLAS does not run on 2 threads here")
+        with _with_cpus(2), mock.patch.object(potentials.os, "sched_setaffinity",
+                                              lambda tid, cpus: None):
+            potentials._each_block(list(range(4)), (0,), run)
+            assert blas_threads() == 2
+            with pytest.raises(KeyError):
+                potentials._each_block([0, "raise", 2, 3], (0,), run)
+            assert blas_threads() == 2
+        assert len(seen) >= 6 and set(seen) == {1}
+    finally:
+        set_threads(before)

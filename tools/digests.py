@@ -22,9 +22,11 @@ Lines:
       sentences of 10-50 tokens and the repeat, 1134 positions; L=17,
       d_h=d_t=100, d_r=128) of each multilinear family, whose GEMMs reach
       the BLAS kernels that a small batch does not;
-  train/<family>/dev<0|1>/clip<c>  the `save_model` file of a seeded
-      3-epoch `train`, without and with a dev set, gradient clipping off
-      and at 0.5;
+  train/<family>/dev<0|1>/clip<c>  the weights of a seeded 3-epoch
+      `train`, without and with a dev set, gradient clipping off and at
+      0.5: the bytes of each field in `FAMILY_FIELDS` order, then the
+      labels and the scheme of its vocabulary (values, not the model file
+      format, so a change of format alone prints the same lines);
   tag/<family>  `chaincrf tag` output of the no-dev-set, unclipped model
       on a generated input;
   tag/<family>/parts  the same on an input of 2500 random sentences of 1-8
@@ -35,7 +37,6 @@ Lines:
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import tempfile
 
@@ -61,6 +62,7 @@ from chaincrf import (
 from chaincrf import potentials
 from chaincrf.cli import main
 from chaincrf.inference import cell_blocks, nll_and_grad_stacked
+from chaincrf.potentials import FAMILY_FIELDS
 
 
 def digest(*arrays_or_text) -> str:
@@ -123,14 +125,13 @@ def all_lines(workdir):
                 config = TrainConfig(family=family, d_t=6, d_r=5, mlp_hidden=128,
                                      max_epochs=3, batch_size=8, seed=3, grad_clip=clip)
                 params, _ = train(config, train_set, dev_set if dev else [], table)
-                buf = io.StringIO()
-                save_model(params, vocab, buf)
-                yield "train/%s/dev%d/clip%g" % (family.value, dev, clip), digest(buf.getvalue())
+                fields = [params.arrays[name] for name in FAMILY_FIELDS[family]]
+                yield ("train/%s/dev%d/clip%g" % (family.value, dev, clip),
+                       digest(*fields, *("%s\n" % lab for lab in vocab.labels), vocab.scheme))
                 if not dev and not clip:
                     model_path = os.path.join(workdir, "model.txt")
                     out_path = os.path.join(workdir, "out.txt")
-                    with open(model_path, "w", encoding="utf-8") as fh:
-                        fh.write(buf.getvalue())
+                    save_model(params, vocab, model_path)
                     for suffix, path in (("", in_path), ("/parts", many_path)):
                         if main(["tag", "--model", model_path, "--embeddings", emb_path,
                                  "--input", path, "--output", out_path]) != 0:
