@@ -10,6 +10,7 @@ anything else, such as invalid input data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -52,13 +53,10 @@ from .training import TrainConfig, decode_paths, predict_paths, train, train_ste
 
 GRADCHECK_TOLERANCE = 1e-4
 
-_PATH_KEYS = ("train_path", "dev_path", "test_path", "embeddings_path",
-              "model_path", "output_path")
-_STR_KEYS = ("family", "scheme", "metric")
-_INT_KEYS = ("batch_size", "max_epochs", "patience", "d_t", "d_r",
-             "mlp_hidden", "seed")
-_FLOAT_KEYS = ("learning_rate", "l2", "subsample_fraction", "lr_decay",
-               "grad_clip", "target_dev_metric")
+_PATH_KEYS = ("train_path", "dev_path", "embeddings_path", "model_path", "output_path")
+_STR_KEYS = ("family", "scheme")
+_INT_KEYS = tuple(k for k in TrainConfig.INT_FIELDS if k != "threads")
+_FLOAT_KEYS = TrainConfig.REAL_FIELDS
 CONFIG_KEYS = frozenset(_PATH_KEYS + _STR_KEYS + _INT_KEYS + _FLOAT_KEYS)
 
 
@@ -131,17 +129,16 @@ def cmd_train(args) -> int:
     scheme = cfg.get("scheme", "bioes")
     if scheme not in ("bioes", "bio", "plain"):
         raise ConfigError("invalid value for scheme: %s" % scheme)
-    config_fields = {k: cfg[k] for k in cfg
-                     if k in TrainConfig.__dataclass_fields__ and k != "metric"}
-    if cfg.get("metric"):
-        config_fields["metric"] = cfg["metric"]
-    config = TrainConfig(**config_fields)   # bad values fail before any file is read
+    fields = {k: cfg[k] for k in cfg if k in TrainConfig.__dataclass_fields__}
+    config = TrainConfig(**fields)   # bad values fail before any file is read
 
     train_set = _apply_scheme(read_conll(cfg["train_path"]), scheme)
     dev_set = (_apply_scheme(read_conll(cfg["dev_path"]), scheme)
                if cfg.get("dev_path") else [])
     table = load_embeddings(cfg["embeddings_path"])
-    vocab = build_label_vocab(train_set)
+    # the declared `plain` scheme holds whatever the labels look like
+    vocab = build_label_vocab(train_set,
+                              scheme=dataio.SCHEME_PLAIN if scheme == "plain" else None)
     params, report = train(config, train_set, dev_set, table, vocab=vocab, verbose=True)
     save_model(params, vocab, cfg["model_path"])
     if cfg.get("output_path"):
@@ -366,7 +363,11 @@ def cmd_bench(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused.
+    It holds command names only: `main` looks up each `cmd_<command>` here
+    when it runs, so a function put in its place is what runs."""
     parser = argparse.ArgumentParser(prog="chaincrf")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -380,19 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--seed", type=int)
     p.add_argument("--subsample", dest="subsample_fraction", type=float)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="tag a CoNLL file with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_tag)
 
     p = sub.add_parser("eval", help="span F1 of a prediction file against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients and inference")
     p.add_argument("--family", default="all")
@@ -403,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=5)
     p.add_argument("--mlp-hidden", dest="mlp_hidden", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="time training steps and decoding")
     p.add_argument("--family", default="vanilla-crf,d-trilinear,d-quadrilinear",
@@ -419,14 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.add_argument("--json", action="store_true",
                    help="print one JSON object with the rows and the environment")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -87,11 +87,12 @@ def pairwise_marginals(lat) -> np.ndarray:
 
 class BadBestScore(ValueError):
     """A best path `score` is NaN or +inf, as a NaN or +inf anywhere in the
-    lattice makes it; the message names the lattice by `k`, its sequence's
-    index in a batch, when given."""
+    lattice makes it; `k`, its sequence's index in a batch, names the
+    lattice in the message when given."""
 
     def __init__(self, score, k=None):
         self.score = score
+        self.k = k
         name = "the lattice" if k is None else "sequence %d of the batch" % k
         super().__init__("best path score of %s is %s: its scores hold NaN or +inf"
                          " (overflowed potentials?)" % (name, score))

@@ -44,9 +44,8 @@ blocks of at most `MLP_BLOCK_CELLS` cells and never for the whole batch,
 and the pullback recomputes them block by block.  The blocks run on one
 thread per CPU where the platform can bind threads, and on one thread
 elsewhere (`_each_block`), with results byte-identical to one; the
-caller's `np.errstate` holds in them, and they never nest.  The same
-threads score the parts of `training.predict_paths`' blocks
-(`block_scorer`).
+caller's `np.errstate` holds in them.  The same threads score the parts
+of `training.predict_paths`' blocks (`block_scorer`).
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class Family(str, Enum):
     def from_name(cls, name: str) -> "Family":
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):     # not a string, or no family's name
             raise ValueError("unknown family: %s" % name) from None
 
 
@@ -410,15 +409,10 @@ def cpu_count() -> int:
     return len(_cpus())
 
 
-# set in the threads `_each_block` starts, whose own calls run inline
-_IN_WORKER = contextvars.ContextVar("in_block_worker", default=False)
-
-
 def _each_block(blocks, buf_shape, run, merge=None):
     """Call run(blk, buf) for every item of `blocks`, on one thread per
     CPU of `_cpus()` (capped at the block count; one block or one CPU runs
-    inline, and so does a call from one of these threads, so threads
-    never nest).  Each thread is bound to its own CPU of that set: on a
+    inline).  Each thread is bound to its own CPU of that set: on a
     2-vCPU VM the scheduler was seen keeping two unbound threads on one
     CPU for hundreds of milliseconds while the other idled.  A thread
     claims the next unclaimed block and owns one scratch buffer `buf` of
@@ -437,7 +431,7 @@ def _each_block(blocks, buf_shape, run, merge=None):
     raised in any block stops the claiming and is re-raised here once
     every thread has ended.
     """
-    cpus = [None] if _IN_WORKER.get() else _cpus()[: len(blocks)]
+    cpus = _cpus()[: len(blocks)]
     ahead = 2 * len(cpus)
     lock = threading.Condition()
     claimed = merged = 0
@@ -469,7 +463,6 @@ def _each_block(blocks, buf_shape, run, merge=None):
                 lock.notify_all()
 
     def bound(cpu, buf):
-        _IN_WORKER.set(True)
         try:
             os.sched_setaffinity(threading.get_native_id(), {cpu})
         except OSError:     # the CPU left the set since it was read: run unbound

@@ -43,10 +43,8 @@ from .potentials import (
     score_lattices,
 )
 
-METRIC_AUTO = "auto"
 METRIC_SPAN_F1 = "span_f1"
 METRIC_TOKEN_ACCURACY = "token_accuracy"
-METRICS = (METRIC_AUTO, METRIC_SPAN_F1, METRIC_TOKEN_ACCURACY)
 
 
 @dataclass
@@ -68,18 +66,22 @@ class TrainConfig:
     # it stays, accepting only 1, while perfbench passes threads=1
     # (ROADMAP item 1 removes both)
     threads: int = 1
-    metric: str = METRIC_AUTO
     target_dev_metric: float | None = None
 
+    # the integer and real fields, which `__post_init__` checks and the
+    # command line's configuration parser converts (class attributes, not fields)
+    INT_FIELDS = ("batch_size", "max_epochs", "patience", "d_t", "d_r", "mlp_hidden", "seed",
+                  "threads")
+    REAL_FIELDS = ("learning_rate", "lr_decay", "l2", "grad_clip", "subsample_fraction",
+                   "target_dev_metric")
+
     def __post_init__(self):
-        self.family = Family(self.family)
-        for name in ("batch_size", "max_epochs", "patience", "d_t", "d_r", "mlp_hidden", "seed",
-                     "threads"):
+        self.family = Family.from_name(self.family)
+        for name in self.INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError("%s must be an integer, got %r" % (name, value))
-        for name in ("learning_rate", "lr_decay", "l2", "grad_clip", "subsample_fraction",
-                     "target_dev_metric"):
+        for name in self.REAL_FIELDS:
             value = getattr(self, name)
             if value is None and name == "target_dev_metric":
                 continue
@@ -100,9 +102,6 @@ class TrainConfig:
                                  % (name, least, getattr(self, name)))
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample_fraction must be in (0, 1]")
-        if self.metric not in METRICS:
-            raise ValueError("metric must be one of %s, got %s"
-                             % (", ".join(METRICS), self.metric))
 
 
 class TrainingDiverged(ValueError):
@@ -191,15 +190,16 @@ def predict_paths(params, reps_list):
     decoded one block of `cell_blocks` at a time: one block's lattices exist
     at once.  Each block is scored in cache-sized parts on every CPU
     (`potentials.block_scorer`), so its lattices can differ from
-    `score_lattices`' in the last bits."""
+    `score_lattices`' in the last bits.  A NaN or +inf best score raises
+    BadBestScore naming its sequence's index in `reps_list`."""
     check_inputs(params, reps_list)    # names a bad sequence by its index here
     score = block_scorer(params)
     paths = []
     for lo, hi in cell_blocks([reps.length for reps in reps_list], params.num_labels):
         try:
             paths += decode_paths(params, score(reps_list[lo:hi]))
-        except ValueError as exc:   # decoding names a sequence by its index in the block
-            raise ValueError("in sequences %d-%d: %s" % (lo, hi - 1, exc)) from None
+        except BadBestScore as exc:   # named by its index in the block
+            raise BadBestScore(exc.score, lo + exc.k) from None
     return paths
 
 
@@ -207,10 +207,9 @@ def evaluate_model(params, seqs, reps_list, vocab, metric):
     """Dev metric of `params` on labeled sequences with cached reps; nan
     when the model's scores overflow, so that decoding finds a NaN or +inf
     best score."""
-    check_inputs(params, reps_list)
     try:
         paths = predict_paths(params, reps_list)
-    except ValueError:
+    except BadBestScore:
         return float("nan")
     pred = [[vocab.labels[k] for k in path] for path in paths]
     gold = [seq.labels for seq in seqs]
@@ -275,7 +274,8 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
           vocab=None, verbose=False):
     """Train one model; returns (best parameters, report).
 
-    Each minibatch takes one `train_step`.  The dev metric is evaluated
+    Each minibatch takes one `train_step`.  The dev metric, token accuracy
+    when the vocabulary's scheme is PLAIN and span F1 otherwise, is evaluated
     every epoch and the parameters of the best epoch are returned (the
     initial ones when no epoch's metric beats -inf), kept in one snapshot
     copied over at each improving epoch; with an empty dev set training
@@ -292,9 +292,7 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
                              % (config.subsample_fraction, corpus))
     if vocab is None:
         vocab = build_label_vocab(train_set)
-    metric = config.metric
-    if metric == METRIC_AUTO:
-        metric = METRIC_TOKEN_ACCURACY if vocab.scheme == SCHEME_PLAIN else METRIC_SPAN_F1
+    metric = METRIC_TOKEN_ACCURACY if vocab.scheme == SCHEME_PLAIN else METRIC_SPAN_F1
 
     reps = [sequence_to_reps(seq, table) for seq in train_set]
     gold = [vocab.indices(seq.labels) for seq in train_set]

@@ -4,7 +4,8 @@ The benchmark in `perfbench/` drives the program through names it looks
 up at run time: its tracer replaces the functions listed in
 `perfbench/tracing.py`'s TARGETS in the `chaincrf.training` and
 `chaincrf.cli` namespaces, its workloads build `TrainConfig(threads=1)`,
-and its checks index and iterate the result of `score_lattices`.  These
+and its checks index and iterate the result of `score_lattices`, and its tag
+op runs `cli.main`, which must call the `cli.cmd_tag` in place.  These
 tests fail when the program drops one of those, so that the benchmark
 does not break unnoticed.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from chaincrf import Family, RepresentationSequence, init_params, log_partition, make_rng
-from chaincrf import training
+from chaincrf import cli, training
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -57,3 +58,14 @@ def test_scored_lattices_index_and_iterate():
     assert [len(p) for p in paths] == [3, 1, 4]
     grads = [np.zeros_like(lat) for lat in lattices]
     assert set(training.backprop_lattices(params, reps, grads)) == set(params.arrays)
+
+
+def test_main_runs_the_cmd_tag_in_place(monkeypatch):
+    # `main` reuses its parser; the tracer puts its wrapper in `cli.cmd_tag`
+    # after the first call, and the next call must run the wrapper
+    argv = ["tag", "--model", "m", "--embeddings", "e", "--input", "i", "--output", "o"]
+    ran = []
+    for code in (7, 9):
+        monkeypatch.setattr(cli, "cmd_tag", lambda args, code=code: ran.append(args) or code)
+        assert cli.main(argv) == code
+    assert [args.model for args in ran] == ["m", "m"]

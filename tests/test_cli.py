@@ -11,6 +11,7 @@ import pytest
 from chaincrf import (
     Family,
     SyntheticSpec,
+    TokenSequence,
     build_label_vocab,
     generate_synthetic,
     init_params,
@@ -174,7 +175,6 @@ def test_train_zero_size_exit_1(tmp_path, capsys, family, size):
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("metric", "bogus", "metric must be one of"),
     ("lr_decay", -0.5, "lr_decay must be positive"),
     ("l2", -1.0, "l2 must be at least 0"),
     ("grad_clip", -1.0, "grad_clip must be at least 0"),
@@ -216,6 +216,49 @@ def test_train_subsample_selecting_nothing_exit_1(tmp_path, capsys):
     assert main(["train", "--config", str(config_path), "--subsample", "0.01"]) == 1
     assert ("subsample_fraction 0.01 of 40 training sequences selects none"
             in capsys.readouterr().err)
+    assert not os.path.exists(cfg["model_path"])
+
+
+def test_train_plain_scheme_on_bio_labels_selects_by_token_accuracy(tmp_path, capsys):
+    paths = write_corpus(tmp_path, n=20)
+    bio = {"L0": "O", "L1": "B-X", "L2": "I-X"}
+    for name in ("train", "dev"):
+        seqs = [TokenSequence(tokens=s.tokens, labels=[bio[lab] for lab in s.labels])
+                for s in read_conll(paths[name])]
+        write_conll(seqs, paths[name])
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=2, target_dev_metric=None)
+    assert main(["train", "--config", str(config_path)]) == 0
+    out = capsys.readouterr().out
+    assert "best_dev_token_accuracy=" in out and "span_f1" not in out
+    _, vocab = load_model(cfg["model_path"])
+    assert vocab.scheme == "PLAIN"
+    assert vocab.labels == ["B-X", "I-X", "O"]
+
+
+def test_train_family_name_is_case_insensitive(tmp_path, capsys):
+    paths = write_corpus(tmp_path, n=10)
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
+    assert main(["train", "--config", str(config_path), "--family", "D-Quadrilinear"]) == 0
+    capsys.readouterr()
+    params, _ = load_model(cfg["model_path"])
+    assert params.family is Family.D_QUADRILINEAR
+
+
+def test_train_unknown_family_exit_1(tmp_path, capsys):
+    paths = write_corpus(tmp_path, n=10)
+    config_path, cfg = base_config(tmp_path, paths, max_epochs=1)
+    assert main(["train", "--config", str(config_path), "--family", "nope"]) == 1
+    assert "error: unknown family: nope" in capsys.readouterr().err
+    assert not os.path.exists(cfg["model_path"])
+
+
+@pytest.mark.parametrize("key,value", [("metric", "token_accuracy"),
+                                       ("test_path", "test.conll")])
+def test_train_removed_config_key_unknown_exit_2(tmp_path, capsys, key, value):
+    paths = write_corpus(tmp_path, n=10)
+    config_path, cfg = base_config(tmp_path, paths, **{key: value})
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert "unknown key: %s" % key in capsys.readouterr().err
     assert not os.path.exists(cfg["model_path"])
 
 
@@ -327,7 +370,7 @@ def test_tag_overflowing_model_exit_1(tmp_path, capsys):
         assert main(["tag", "--model", str(model), "--embeddings", str(paths["emb"]),
                      "--input", str(paths["test"]), "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: in sequences 0-19: best path score of sequence ")
+    assert err.startswith("error: best path score of sequence ")
     assert "NaN or +inf" in err
     assert not out.exists()
 
@@ -345,7 +388,7 @@ def test_tag_overflowing_softmax_model_exit_1(tmp_path, capsys):
         assert main(["tag", "--model", str(model), "--embeddings", str(paths["emb"]),
                      "--input", str(paths["test"]), "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert re.match(r"error: in sequences 0-19: best path score of sequence \d+ of the batch"
+    assert re.match(r"error: best path score of sequence \d+ of the batch"
                     r" is (nan|inf): its scores hold NaN or \+inf", err), err
     assert not out.exists()
 

@@ -928,24 +928,6 @@ def test_block_threads_keep_the_callers_errstate():
     assert len(paths) == len(reps_list)
 
 
-def test_nested_each_block_runs_inline():
-    outer, inner, bound = {}, {}, []
-
-    def run_outer(blk, buf):
-        outer[blk] = threading.get_ident()
-        potentials._each_block([(blk, k) for k in range(4)], (0,), run_inner)
-
-    def run_inner(blk, buf):
-        inner[blk] = threading.get_ident()
-
-    with _with_cpus(2), mock.patch.object(potentials.os, "sched_setaffinity",
-                                          lambda tid, cpus: bound.append(tid)):
-        potentials._each_block(list(range(6)), (0,), run_outer)
-    assert len(bound) == 2
-    assert len(inner) == 24
-    assert all(inner[blk] == outer[blk[0]] for blk in inner)
-
-
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS cannot be found")
 def test_block_threads_run_blas_on_one_thread_and_restore_its_count():
     # unpinned, each bound thread would also start OpenBLAS threads

@@ -123,7 +123,8 @@ def test_train_rejects_zero_d_r():
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("metric", "bogus", "metric must be one of auto, span_f1, token_accuracy, got bogus"),
+    ("family", "nope", "unknown family: nope"),
+    ("family", None, "unknown family: None"),
     ("lr_decay", 0.0, "lr_decay must be positive"),
     ("lr_decay", -0.5, "lr_decay must be positive"),
     ("l2", -1e-8, "l2 must be at least 0"),
@@ -314,7 +315,8 @@ def test_dev_metric_of_overflowing_model_is_nan():
     reps = [sequence_to_reps(seq, table) for seq in dev_set]
     with np.errstate(all="ignore"):
         assert math.isnan(evaluate_model(p, dev_set, reps, vocab, "span_f1"))
-        with pytest.raises(ValueError, match=r"^in sequences 0-\d+: best path score of sequence"):
+        with pytest.raises(inference.BadBestScore,
+                           match=r"^best path score of sequence \d+ of the batch"):
             predict_paths(p, reps)
 
 
@@ -454,10 +456,26 @@ def test_softmax_decode_names_the_overflowing_sequence():
     p.arrays["w_h"] *= 1e308
     reps = [RepresentationSequence.from_array(rng.standard_normal((m, 8))) for m in (3, 6)]
     with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match="in sequences 0-1: best path score of "
-                                             "sequence 0 of the batch is inf"):
+        with pytest.raises(inference.BadBestScore, match="^best path score of "
+                                                         "sequence 0 of the batch is inf"):
             predict_paths(p, reps)
         lats = score_lattices(p, reps)
         lats[0][:] = 0.0
         with pytest.raises(inference.BadBestScore, match="sequence 1 of the batch"):
             training.decode_paths(p, lats)
+
+
+@pytest.mark.parametrize("family", [Family.SOFTMAX, Family.VANILLA_CRF], ids=lambda f: f.value)
+def test_failed_decode_names_the_sequence_by_its_input_index(family):
+    rng = make_rng(0)
+    p = init_params(family, 5, 8, seed=1)
+    reps = [RepresentationSequence.from_array(rng.standard_normal((4, 8))) for _ in range(12)]
+    reps[7] = RepresentationSequence.from_array(np.full((4, 8), 1e308))
+    # blocks of three sequences: sequence 7 is the second of the third block
+    with mock.patch.object(inference, "CHUNK_CELLS", 3 * 4 * 5 * 5), \
+            np.errstate(all="ignore"):
+        assert inference.cell_blocks([r.length for r in reps], 5)[2] == (6, 9)
+        with pytest.raises(inference.BadBestScore,
+                           match="^best path score of sequence 7 of the batch") as info:
+            predict_paths(p, reps)
+    assert info.value.k == 7
