@@ -32,7 +32,13 @@ from .dataio import (
     write_conll,
 )
 from .evaluation import span_f1, summary_line
-from .inference import log_partition, nll_and_grad, pairwise_marginals, viterbi
+from .inference import (
+    log_partition,
+    nll_and_grad,
+    nll_and_grad_stacked,
+    pairwise_marginals,
+    viterbi,
+)
 from .linalg import blas_threads, make_rng
 from .oracle import (
     brute_force_best_path,
@@ -271,7 +277,9 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
     `training.train_step` on the batch, and decoding scores the batch and
     decodes it with `decode_paths`; its time is reported per sequence.
     `train_step_peak_mb` is the tracemalloc peak (in 10**6 bytes) of one
-    more, untimed step.
+    more, untimed step.  `nll_ms` is the mean time in milliseconds of the
+    step's forward-backward, `nll_and_grad_stacked`, on the batch as the
+    initial model scores it.
     """
     for name, value in (("length", length), ("batch", batch), ("reps", reps)):
         if value < 1:
@@ -295,10 +303,12 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
     def one_decode_pass():
         decode_paths(params, score_lattices(params, reps_list))
 
+    scored = score_lattices(params, reps_list)
     for _ in range(warmup):
         one_step()
         one_decode_pass()
-    step_times, decode_times = [], []
+        nll_and_grad_stacked(scored, golds)
+    step_times, decode_times, nll_times = [], [], []
     for _ in range(reps):
         t0 = time.perf_counter()
         one_step()
@@ -306,6 +316,9 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
         t0 = time.perf_counter()
         one_decode_pass()
         decode_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        nll_and_grad_stacked(scored, golds)
+        nll_times.append(time.perf_counter() - t0)
     tracemalloc.start()
     try:
         one_step()
@@ -317,6 +330,7 @@ def run_bench(family, num_labels=17, d_h=100, d_t=100, d_r=128, length=30,
         "train_step_seconds": sum(step_times) / reps,
         "decode_seconds_per_sequence": sum(decode_times) / (reps * batch),
         "train_step_peak_mb": step_peak / 1e6,
+        "nll_ms": 1e3 * sum(nll_times) / reps,
     }
 
 

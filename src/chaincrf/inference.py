@@ -6,12 +6,16 @@ on the synthetic BOS label; by convention its row 0 holds the value used
 by every algorithm here (lattices produced by the potentials module fill
 all rows of position 0 identically).
 
-All recursions run in log space with 64-bit floats.
+Arithmetic is in 64-bit floats.  The forward and Viterbi recursions run
+in log space.  The training NLL's marginals come from one backward pass in
+probability space: each forward step's exponentials exp(score - max) lie
+in [0, 1], with column sums in [1, L] where the column is not all -inf, so
+the pass neither overflows nor divides by a small number.
 
 Batches.  A `LatticeBatch` stacks a batch's lattices in one (N, L, L)
-buffer.  The batched recursions read it in place, time-major (sequences
-longest first, step m gathers position m of each one longer than m), into
-stacked (N, L) messages and (N, L, L) gradients; nothing is padded.
+buffer.  The batched recursions read it time-major (sequences longest
+first, step m reads position m of each one longer than m) into stacked
+(N, L) messages and (N, L, L) gradients; nothing is padded.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -149,24 +154,30 @@ def _check_gold(lat, gold):
             raise ValueError("invalid label index %r for %d labels" % (y, L))
 
 
+def _check_golds(batch, golds) -> np.ndarray:
+    """The labels of `golds` (lists) concatenated as one int64 array, after
+    one check of their lengths, types and range over the whole batch; the
+    per-label `_check_gold` runs only when it fails, to name what is wrong."""
+    labels = list(chain.from_iterable(golds))
+    integer = all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+                  for t in set(map(type, labels)))
+    if (not np.array_equal([len(g) for g in golds], batch.lengths) or not integer
+            or labels and not 0 <= min(labels) <= max(labels) < batch.flat.shape[1]):
+        for lat, gold in zip(batch, golds):
+            _check_gold(lat, gold)
+    return np.array(labels, dtype=np.int64)
+
+
 def nll_and_grad(lat, gold):
-    """Negative log-likelihood of `gold` and its lattice gradient.
+    """Negative log-likelihood of `gold` and its (M, L, L) lattice gradient:
+    `nll_and_grad_stacked` of a batch of one.
 
     The gradient is pairwise marginals minus the gold indicator, the
     expected-minus-observed sufficient statistics of the path
     distribution.
     """
-    lat = _check_lattice(lat)
-    gold = list(gold)
-    _check_gold(lat, gold)
-    alpha = _forward(lat)
-    beta = _backward(lat)
-    log_z = log_sum_exp(alpha[-1])
-    grad = _marginals_from_messages(lat, alpha, beta, log_z)
-    grad[0, 0, gold[0]] -= 1.0
-    for m in range(1, len(gold)):
-        grad[m, gold[m - 1], gold[m]] -= 1.0
-    return log_z - path_score(lat, gold), grad
+    losses, grads = nll_and_grad_stacked([lat], [gold])
+    return losses[0], grads.flat
 
 
 def decode_softmax(lat) -> DecodeResult:
@@ -288,51 +299,69 @@ def nll_and_grad_stacked(lattices, golds):
     """(losses, gradients) of a batch: the losses as one array and the
     gradients as one `LatticeBatch`, stacked as the lattices are.
 
-    Takes lattices as `viterbi_batch` does and validates as `nll_and_grad`
-    does; the marginals are formed in one pass over the stacked rows.
+    Takes lattices as `viterbi_batch` does.  The gold paths are checked
+    once for the batch: a length that is not its lattice's, or a label
+    that is not an integer (a bool is not) in range(L), raises ValueError
+    naming the first one.
+
+    One log-space forward sweep gives the losses.  The marginals come from
+    one backward pass in probability space over the forward sweep's
+    exponentials (forward filtering, backward smoothing: Rabiner 1989;
+    Sutton & McCallum 2012, section 4.1).
     """
     batch = LatticeBatch.of(lattices)
     golds = [list(g) for g in golds]
     if len(golds) != len(batch):
         raise ValueError("got %d lattices but %d gold paths" % (len(batch), len(golds)))
-    for lat, gold in zip(batch, golds):
-        _check_gold(lat, gold)
+    labels = _check_golds(batch, golds)
     if not golds:
         return np.empty(0), LatticeBatch(np.zeros_like(batch.flat), [])
     flat = batch.flat
     order, first, active = _time_major(batch)
     # gold transitions as (stacked row, previous, label) indices; the gold
     # path scores are summed in position order along the forward sweep
-    gold_at = (np.arange(len(flat)), np.concatenate([[0] + g[:-1] for g in golds]).astype(np.int64),
-               np.concatenate(golds).astype(np.int64))
+    prev = np.roll(labels, 1)
+    prev[batch.starts] = 0
+    gold_at = (np.arange(len(flat)), prev, labels)
     gold_entries = flat[gold_at]
     path = gold_entries[first]
+    # step m keeps e = exp(alpha[m - 1] + lat - max) in its rows of `grad`
+    # and their column sums in `s`: alpha[m] = max + log(s), computed as
+    # `log_sum_exp_over_rows` computes it, so the losses are its losses
+    grad = np.empty_like(flat)
+    s = np.empty(flat.shape[:2])
     alpha = np.empty(flat.shape[:2])
     alpha[first] = flat[first, 0]
     for m, n in enumerate(active[1:], 1):
         rows = first[:n] + m
         cand = flat[rows]
         np.add(alpha[rows - 1][:, :, None], cand, out=cand)
-        alpha[rows] = log_sum_exp_over_rows(cand, axis=1)
+        top = cand.max(axis=1, keepdims=True)
+        finite = np.isfinite(top)
+        safe = np.where(finite, top, 0.0)
+        cand -= safe
+        grad[rows] = np.exp(cand, out=cand)
+        s[rows] = total = cand.sum(axis=1)
+        with np.errstate(divide="ignore"):
+            alpha[rows] = np.where(finite, safe + np.log(total[:, None]), top)[:, 0]
         path[:n] += gold_entries[rows]
-    beta = np.zeros(flat.shape[:2])
-    for m in range(len(active) - 2, -1, -1):
-        rows = first[:active[m + 1]] + m
-        cand = flat[rows + 1]
-        cand += beta[rows + 1][:, None, :]
-        beta[rows] = log_sum_exp_over_rows(cand, axis=2)
-    log_z = log_sum_exp_over_rows(alpha[first + batch.lengths[order] - 1], axis=1)
+    last = first + batch.lengths[order] - 1
+    log_z = log_sum_exp_over_rows(alpha[last], axis=1)
     loss = np.empty(len(batch))
     loss[order] = log_z - path
-    # all rows' marginals exp(alpha[row - 1] + lat + beta - log Z) in one pass;
-    # first rows read alpha -inf (so exp cannot overflow) and are then rewritten
-    prev = np.roll(alpha, 1, axis=0)
-    prev[first] = -np.inf
-    grad = np.add(prev[:, :, None], flat)
-    grad += beta[:, None, :]
-    grad -= np.repeat(log_z[np.argsort(order)], batch.lengths)[:, None, None]
-    np.exp(grad, out=grad)
-    grad[first, 1:] = 0.0
-    grad[first, 0] = np.exp(flat[first, 0] + beta[first] - log_z[:, None])
+    # node marginals mu, last positions first.  A step's pairwise marginals
+    # are e * nu with nu = mu / s (0 where s is 0: a column of -inf scores),
+    # and mu one position back is their row sum e . nu
+    mu = np.empty(flat.shape[:2])
+    mu[last] = np.exp(alpha[last] - log_z[:, None])
+    nu = np.zeros(flat.shape[:2])
+    for m in range(len(active) - 1, 0, -1):
+        rows = first[:active[m]] + m
+        s_m = s[rows]
+        nu[rows] = nu_m = np.divide(mu[rows], s_m, out=np.zeros_like(s_m), where=s_m != 0.0)
+        mu[rows - 1] = np.einsum("nab,nb->na", grad[rows], nu_m)
+    grad[first] = 0.0
+    grad *= nu[:, None, :]
+    grad[first, 0] = mu[first]
     grad[gold_at] -= 1.0
     return loss, LatticeBatch(grad, batch.lengths)

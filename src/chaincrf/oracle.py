@@ -142,6 +142,29 @@ def _token_name(j):
     return "w%d" % j
 
 
+def _transition_cdf(trans, L) -> np.ndarray:
+    """Row-wise cumulative sums of an (L, L) transition matrix, each row
+    divided by its total as `Generator.choice` does with `p`; a row that
+    `choice` would reject raises its ValueError."""
+    p = np.asarray(trans)
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    if np.issubdtype(p.dtype, np.floating):
+        atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
+    p = p.astype(np.float64)
+    if p.shape != (L, L):
+        raise ValueError("transition must have shape (%d, %d), got %r" % (L, L, p.shape))
+    total = p.sum(axis=1)
+    if np.isnan(total).any():
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if (np.abs(total - 1.0) > atol).any():
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
 def generate_synthetic(spec: SyntheticSpec):
     """(train, dev, test, embedding table) for `spec`, fully seeded."""
     rng = make_rng(spec.seed)
@@ -158,15 +181,18 @@ def generate_synthetic(spec: SyntheticSpec):
     )
     pair_table = rng.integers(0, L, size=(L, L))
     tokens_of_label = [[j for j in range(V) if j % L == y] for y in range(L)]
+    if spec.order == "first":
+        cdf = _transition_cdf(trans, L)
 
     def sample_sequence():
         n = int(rng.integers(spec.min_len, spec.max_len + 1))
         if spec.order == "first":
-            labels = np.empty(n, dtype=np.int64)
-            labels[0] = rng.integers(0, L)
-            for i in range(1, n):
-                labels[i] = rng.choice(L, p=trans[labels[i - 1]])
-            toks = [int(rng.choice(tokens_of_label[y])) for y in labels]
+            # the draws of rng.choice(L, p=trans[prev]) and rng.choice(tokens),
+            # without its per-call checks of p
+            labels = [int(rng.integers(0, L))]
+            for _ in range(1, n):
+                labels.append(int(cdf[labels[-1]].searchsorted(rng.random(), side="right")))
+            toks = [tokens_of_label[y][rng.integers(0, len(tokens_of_label[y]))] for y in labels]
         else:
             toks = [int(t) for t in rng.integers(0, V, size=n)]
             classes = [t % L for t in toks]

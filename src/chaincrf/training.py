@@ -203,8 +203,9 @@ def predict_paths(params, reps_list):
     return paths
 
 
-def evaluate_model(params, seqs, reps_list, vocab, metric):
-    """Dev metric of `params` on labeled sequences with cached reps; nan
+def evaluate_model(params, seqs, reps_list, vocab):
+    """Dev metric of `params` on labeled sequences with cached reps: token
+    accuracy when the vocabulary's scheme is PLAIN, span F1 otherwise; nan
     when the model's scores overflow, so that decoding finds a NaN or +inf
     best score."""
     try:
@@ -214,7 +215,7 @@ def evaluate_model(params, seqs, reps_list, vocab, metric):
     pred = [[vocab.labels[k] for k in path] for path in paths]
     gold = [seq.labels for seq in seqs]
     result = span_f1(gold, pred, scheme=vocab.scheme)
-    return result.f1 if metric == METRIC_SPAN_F1 else result.token_accuracy
+    return result.token_accuracy if vocab.scheme == SCHEME_PLAIN else result.f1
 
 
 SGD_BLOCK = 1 << 15   # elements per step of `sgd_update` (256 KB of float64)
@@ -292,7 +293,6 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
                              % (config.subsample_fraction, corpus))
     if vocab is None:
         vocab = build_label_vocab(train_set)
-    metric = METRIC_TOKEN_ACCURACY if vocab.scheme == SCHEME_PLAIN else METRIC_SPAN_F1
 
     reps = [sequence_to_reps(seq, table) for seq in train_set]
     gold = [vocab.indices(seq.labels) for seq in train_set]
@@ -305,7 +305,8 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
         config.family, vocab.size, reps[0].d_h, seed=config.seed,
         d_t=config.d_t, d_r=config.d_r, mlp_hidden=config.mlp_hidden,
     )
-    report = TrainReport(metric_name=metric)
+    report = TrainReport(metric_name=METRIC_TOKEN_ACCURACY if vocab.scheme == SCHEME_PLAIN
+                         else METRIC_SPAN_F1)
     # the dev set's one snapshot of the best epoch, refreshed in place
     best_params = params.copy() if dev_set else params
     best_metric = -math.inf
@@ -328,7 +329,7 @@ def train(config: TrainConfig, train_set, dev_set, table: EmbeddingTable,
                     raise TrainingDiverged(name, epoch, b)
         mean_loss = total_loss / n
         dev_metric = (
-            evaluate_model(params, dev_set, dev_reps, vocab, metric)
+            evaluate_model(params, dev_set, dev_reps, vocab)
             if dev_set else float("nan")
         )
         rec = EpochRecord(epoch=epoch, train_loss=mean_loss,

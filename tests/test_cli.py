@@ -541,9 +541,9 @@ def test_bench_smoke(tmp_path, capsys):
                  "--reps", "2", "--output", str(out_path)]) == 0
     lines = out_path.read_text().splitlines()
     assert lines[0] == ("family,train_step_seconds,decode_seconds_per_sequence,"
-                        "train_step_peak_mb")
+                        "train_step_peak_mb,nll_ms")
     assert lines[1].startswith("vanilla-crf,")
-    assert len(lines[1].split(",")) == 4
+    assert len(lines[1].split(",")) == 5
     capsys.readouterr()
 
 
@@ -569,6 +569,7 @@ def test_bench_json_rows_and_environment(tmp_path, capsys):
         assert row["train_step_seconds"] > 0.0
         assert row["decode_seconds_per_sequence"] > 0.0
         assert row["train_step_peak_mb"] > 0.0
+        assert row["nll_ms"] > 0.0
     env = record["environment"]
     assert env["numpy"] == np.__version__
     assert env["nproc"] == os.cpu_count()

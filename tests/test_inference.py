@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaincrf import (
@@ -185,11 +185,14 @@ def test_nll_rejects_bad_labels():
         nll_and_grad(np.zeros((2, 3, 3)), [0])
 
 
-@pytest.mark.parametrize("label", [1.5, 2.0, True, "1", None], ids=repr)
+@pytest.mark.parametrize("label", [1.5, 2.0, True, np.True_, np.float64(1.0), "1", None],
+                         ids=repr)
 def test_nll_rejects_non_integer_labels(label):
+    # np.asarray([0, True, 2]) is int64: the batch check must not let it by
     lat = np.zeros((3, 4, 4))
     for run in (lambda: nll_and_grad(lat, [0, label, 2]),
-                lambda: nll_and_grad_stacked([lat], [[0, label, 2]])):
+                lambda: nll_and_grad_stacked([lat], [[0, label, 2]]),
+                lambda: nll_and_grad_stacked([lat, lat], [[0, 1, 2], [0, label, 2]])):
         with pytest.raises(ValueError, match="label index %s is not an integer"
                            % re.escape(repr(label))):
             run()
@@ -200,9 +203,40 @@ def test_nll_accepts_numpy_integer_labels():
     gold = np.array([0, 3, 1])
     want = nll_and_grad(lat, [0, 3, 1])
     losses, grads = nll_and_grad_stacked([lat], [gold])
-    for got in (nll_and_grad(lat, gold), (losses[0], grads[0])):
+    mixed = nll_and_grad(lat, [np.int32(0), 3, np.uint8(1)])
+    for got in (nll_and_grad(lat, gold), (losses[0], grads[0]), mixed):
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
+
+
+def path_indicator(lat, labels):
+    """The (M, L, L) counts of the transitions of `labels`, from row 0 at
+    position 0."""
+    ind = np.zeros_like(lat)
+    ind[0, 0, labels[0]] = 1.0
+    for m in range(1, len(labels)):
+        ind[m, labels[m - 1], labels[m]] += 1.0
+    return ind
+
+
+def test_marginals_of_huge_scores_are_the_best_path():
+    # scores near 1e20, of a d-quadrilinear model with finite weights: in
+    # exp(alpha + lat + beta - log Z) the rounding of the log-space sums
+    # (about 1e4) overflows; the backward pass over the forward
+    # exponentials gives the point mass on the best path
+    rng = make_rng(0)
+    p = init_params(Family.D_QUADRILINEAR, 5, 8, seed=1, d_t=6, d_r=7)
+    for name in ("u_h1", "u_h2"):
+        p.arrays[name] *= 1e10
+    reps = [RepresentationSequence.from_array(rng.standard_normal((int(m), 8)) / np.sqrt(8))
+            for m in rng.integers(3, 12, size=8)]
+    lats = score_lattices(p, reps)
+    golds = [[int(y) for y in rng.integers(0, 5, size=r.length)] for r in reps]
+    losses, grads = nll_and_grad_stacked(lats, golds)
+    assert np.isfinite(losses).all()
+    for lat, gold, grad in zip(lats, golds, grads):
+        want = path_indicator(lat, viterbi(lat).labels) - path_indicator(lat, gold)
+        np.testing.assert_array_equal(grad, want)
 
 
 def test_decode_softmax_dominant():
@@ -232,11 +266,11 @@ def test_decode_softmax_equals_viterbi_on_row_constant_lattices():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def ragged_batches(draw):
-    """Lattices of one L (1-5) and lengths 1-12, each random, random with
-    -inf masked entries, or all zero (every path ties), plus gold paths."""
+def ragged_batches(draw, max_len=12):
+    """Lattices of one L (1-5) and lengths 1-`max_len`, each random, random
+    with -inf masked entries, or all zero (every path ties), plus gold paths."""
     L = draw(st.integers(1, 5))
-    kinds = draw(st.lists(st.tuples(st.integers(1, 12),
+    kinds = draw(st.lists(st.tuples(st.integers(1, max_len),
                                     st.sampled_from(["random", "masked", "zero"])),
                           max_size=10))
     rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -272,6 +306,35 @@ def assert_batch_matches_reference(lats, golds):
 @given(ragged_batches())
 def test_batch_bit_identical_to_per_sequence(batch):
     assert_batch_matches_reference(*batch)
+
+
+def one_label_and_one_position_batch():
+    rng = make_rng(9)
+    lats = [rng.standard_normal((1, 3, 3)), np.zeros((4, 3, 3)), rng.standard_normal((6, 3, 3))]
+    lats[2][rng.random(lats[2].shape) < 0.3] = -np.inf
+    return lats, [[2], [0, 1, 2, 0], [1, 1, 0, 2, 2, 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_batches(max_len=6))
+@example(([np.zeros((1, 1, 1)), 3.0 * make_rng(2).standard_normal((5, 1, 1))], [[0], [0] * 5]))
+@example(one_label_and_one_position_batch())
+def test_batch_losses_and_marginals_match_the_oracles(batch):
+    # the losses are the log-space forward sweep's, to the bit; the
+    # gradients come from the backward pass over its exponentials
+    lats, golds = batch
+    with np.errstate(all="ignore"):
+        losses, grads = nll_and_grad_stacked(lats, golds)
+        for lat, gold, loss, grad in zip(lats, golds, losses, grads):
+            want = log_partition(lat) - path_score(lat, gold)
+            assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+            if not np.isfinite(loss):
+                continue
+            assert not np.isnan(grad).any()
+            np.testing.assert_allclose(
+                grad, brute_force_pairwise_marginals(lat) - path_indicator(lat, gold),
+                rtol=0.0, atol=1e-9)
+            assert (grad[lat == -np.inf] == 0.0).all()
 
 
 def test_batch_larger_than_one_chunk():

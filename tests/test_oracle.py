@@ -11,6 +11,7 @@ from chaincrf import (
     finite_diff_grad,
     generate_synthetic,
     init_params,
+    make_rng,
 )
 from chaincrf.oracle import _all_paths
 
@@ -113,3 +114,62 @@ def test_synthetic_rejects_bad_spec():
         SyntheticSpec(num_labels=10, vocab_size=5)
     with pytest.raises(ValueError):
         SyntheticSpec(order="third")
+    with pytest.raises(ValueError, match=r"transition must have shape \(3, 3\)"):
+        generate_synthetic(SyntheticSpec(num_labels=3, vocab_size=6, transition=np.eye(2)))
+
+
+def choice_synthetic_splits(spec):
+    """The (train, dev, test) tokens and labels of `spec`, drawn with one
+    `Generator.choice` call per label and per token: the reference for
+    `generate_synthetic`'s draws."""
+    rng = make_rng(spec.seed)
+    L, V = spec.num_labels, spec.vocab_size
+    trans = spec.transition if spec.transition is not None else rng.dirichlet(np.ones(L), size=L)
+    rng.standard_normal((V, spec.d_h - 1))      # the embedding table's draws
+    pair_table = rng.integers(0, L, size=(L, L))
+    tokens_of_label = [[j for j in range(V) if j % L == y] for y in range(L)]
+
+    def sample():
+        n = int(rng.integers(spec.min_len, spec.max_len + 1))
+        if spec.order == "first":
+            labels = [int(rng.integers(0, L))]
+            for _ in range(1, n):
+                labels.append(int(rng.choice(L, p=trans[labels[-1]])))
+            toks = [int(rng.choice(tokens_of_label[y])) for y in labels]
+        else:
+            toks = [int(t) for t in rng.integers(0, V, size=n)]
+            labels = [pair_table[0, toks[0] % L]] + [pair_table[a % L, b % L]
+                                                     for a, b in zip(toks, toks[1:])]
+        return ["w%d" % t for t in toks], ["L%d" % y for y in labels]
+
+    return [[sample() for _ in range(count)] for count in (spec.n_train, spec.n_dev, spec.n_test)]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(order="first", seed=3),
+    dict(order="first", seed=7, num_labels=17, d_h=100, min_len=10, max_len=50, n_train=32,
+         n_dev=32, n_test=150),
+    dict(order="first", seed=5, transition=np.full((5, 5), 0.2)),
+    dict(order="first", seed=6, num_labels=1, vocab_size=3),
+    dict(order="second", seed=4, num_labels=9, vocab_size=60),
+], ids=["first", "first-wide", "first-given", "first-one-label", "second"])
+def test_synthetic_draws_match_generator_choice(kwargs):
+    spec = SyntheticSpec(**kwargs)
+    got = generate_synthetic(spec)[:3]
+    want = choice_synthetic_splits(spec)
+    assert [[(s.tokens, s.labels) for s in split] for split in got] == want
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0.5, 0.4, 0.0], "do not sum to 1"),
+    ([1.2, -0.2, 0.0], "not non-negative"),
+    ([np.nan, 0.5, 0.5], "contain NaN"),
+], ids=["sum", "negative", "nan"])
+def test_synthetic_rejects_a_bad_transition_as_choice_does(row, message):
+    trans = np.full((3, 3), 1.0 / 3.0)
+    trans[2] = row      # a row that sampling may never reach
+    with pytest.raises(ValueError, match=message):
+        make_rng(0).choice(3, p=trans[2])
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic(SyntheticSpec(num_labels=3, vocab_size=6, transition=trans,
+                                         n_train=1, n_dev=0, n_test=0))

@@ -28,6 +28,7 @@ from chaincrf import (
     train,
 )
 from chaincrf import inference, potentials, training
+from chaincrf.evaluation import span_f1
 from chaincrf.training import evaluate_model, predict_paths, sgd_update
 
 
@@ -221,8 +222,23 @@ def test_returned_params_achieve_best_recorded_metric():
     assert report.best_dev_f1 == max(r.dev_metric for r in report.epochs)
     vocab = build_label_vocab(train_set)
     reps = [sequence_to_reps(s, table) for s in dev_set]
-    got = evaluate_model(params, dev_set, reps, vocab, report.metric_name)
+    got = evaluate_model(params, dev_set, reps, vocab)
     assert got == pytest.approx(report.best_dev_f1)
+
+
+def test_evaluate_model_takes_the_metric_from_the_scheme():
+    train_set, dev_set, _, table = tiny_corpus(n=12, seed=5)
+    names = {"L0": "O", "L1": "B-X", "L2": "I-X"}    # the same labels as BIO spans
+    bio_set = [TokenSequence(tokens=s.tokens, labels=[names[y] for y in s.labels])
+               for s in dev_set]
+    reps = [sequence_to_reps(s, table) for s in dev_set]
+    p = init_params(Family.VANILLA_CRF, 3, table.dim, seed=2)
+    paths = predict_paths(p, reps)
+    for seqs, want in ((dev_set, "token_accuracy"), (bio_set, "f1")):
+        vocab = build_label_vocab(seqs)
+        pred = [[vocab.labels[k] for k in path] for path in paths]
+        result = span_f1([s.labels for s in seqs], pred, scheme=vocab.scheme)
+        assert evaluate_model(p, seqs, reps, vocab) == getattr(result, want)
 
 
 def test_train_without_dev_runs_to_max_epochs():
@@ -267,13 +283,12 @@ def test_train_non_finite_loss_raises():
     assert str(info.value) == "training diverged: non-finite loss at epoch 1, batch 0"
 
 
-def _overflowing_d_quadrilinear(*args, **kwargs):
-    # finite parameters whose marginals overflow: every gradient field is
-    # non-finite while the loss is finite
-    p = init_params(*args, **kwargs)
-    for name in ("u_h1", "u_h2"):
-        p.arrays[name] *= 1e10
-    return p
+def _overflowing_pullback(params, reps, lat_grads):
+    # a pullback that overflows: every gradient field is non-finite while
+    # the loss is finite.  (The NLL marginals cannot overflow: see
+    # test_marginals_of_huge_scores_are_the_best_path.)
+    grad = backprop_lattices(params, reps, lat_grads)
+    return {name: np.full_like(g, np.inf) for name, g in grad.items()}
 
 
 def test_train_step_leaves_params_untouched_on_non_finite_gradient():
@@ -281,10 +296,11 @@ def test_train_step_leaves_params_untouched_on_non_finite_gradient():
     reps = [RepresentationSequence.from_array(rng.standard_normal((int(m), 8)) / np.sqrt(8))
             for m in rng.integers(3, 12, size=8)]
     golds = [[int(y) for y in rng.integers(0, 5, size=r.length)] for r in reps]
-    p = _overflowing_d_quadrilinear(Family.D_QUADRILINEAR, 5, 8, seed=1, d_t=6, d_r=7)
+    p = init_params(Family.D_QUADRILINEAR, 5, 8, seed=1, d_t=6, d_r=7)
     before = {name: arr.tobytes() for name, arr in p.param_items()}
     for clip in (0.0, 1.0):
-        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info, \
+                mock.patch.object(training, "backprop_lattices", _overflowing_pullback):
             training.train_step(p, reps, golds, 0.1, 1e-8, clip)
         assert (info.value.field, info.value.kind) == ("label_embeddings", "gradient")
         assert (info.value.epoch, info.value.batch) == (None, None)
@@ -298,7 +314,7 @@ def test_train_names_non_finite_gradient():
     train_set, dev_set, _, table = generate_synthetic(spec)
     config = TrainConfig(family=Family.D_QUADRILINEAR, max_epochs=2, seed=1, d_t=6, d_r=7)
     with np.errstate(all="ignore"), \
-            mock.patch.object(training, "init_params", _overflowing_d_quadrilinear), \
+            mock.patch.object(training, "backprop_lattices", _overflowing_pullback), \
             pytest.raises(TrainingDiverged) as info:
         train(config, train_set, dev_set, table)
     assert (info.value.field, info.value.epoch, info.value.batch) == ("label_embeddings", 0, 0)
@@ -314,7 +330,7 @@ def test_dev_metric_of_overflowing_model_is_nan():
         p.arrays[name] *= 1e80
     reps = [sequence_to_reps(seq, table) for seq in dev_set]
     with np.errstate(all="ignore"):
-        assert math.isnan(evaluate_model(p, dev_set, reps, vocab, "span_f1"))
+        assert math.isnan(evaluate_model(p, dev_set, reps, vocab))
         with pytest.raises(inference.BadBestScore,
                            match=r"^best path score of sequence \d+ of the batch"):
             predict_paths(p, reps)

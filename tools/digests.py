@@ -15,7 +15,7 @@ print the same lines too, which checks that the threads do not change a
 result.
 
 Lines:
-  batch/<family>/<result>  scores, NLL losses and gradients of one ragged
+  batch/<family>/<result>  scores, NLL losses, NLL gradients of one ragged
       batch that repeats a sentence, and the pullbacks of those gradients
       and of random lattice gradients;
   bench/<family>/<result>  the same for one benchmark-sized batch (32
@@ -91,7 +91,8 @@ def batch_lines(family, d_h=12, d_t=6, d_r=5, lengths=(5, 1, 9, 3)):
     pulled_random = backprop_lattices(params, reps, random)
     fields = [name for name, _ in params.param_items()]
     yield "scores", digest(lats.flat)
-    yield "nll", digest(losses, grads.flat)
+    yield "nll_loss", digest(losses)
+    yield "nll_grad", digest(grads.flat)
     yield "nll_pullback", digest(*(pulled[name] for name in fields))
     yield "random_pullback", digest(*(pulled_random[name] for name in fields))
 
